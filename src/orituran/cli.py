@@ -29,7 +29,6 @@ from .extremal import (
 from .graphs import (
     BipartiteDigraph,
     GraphError,
-    InvariantError,
     OrientedGraph,
     ParseError,
     TooLargeError,
@@ -200,6 +199,19 @@ def _cmd_check(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low (argparse exits 2 otherwise)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
 def _add_pattern_args(sub, file_only: bool = False) -> None:
     if not file_only:
         sub.add_argument("--pattern", help="named pattern token, e.g. dpath4 or star:1,2")
@@ -223,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="single order or range a..b")
     _add_pattern_args(p)
     p.add_argument("--verify-formula", action="store_true")
-    p.add_argument("--budget", type=int, default=None, help="node budget per worker")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--budget", type=_int_at_least(0), default=None, help="node budget per worker"
+    )
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exo)
 
@@ -254,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="tournament order (all-tournaments)")
     p.add_argument("--host", help="undirected host .og file (all-orientations)")
     _add_pattern_args(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 
@@ -262,11 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _exit_code_for(exc: Exception) -> int:
-    if isinstance(exc, TooLargeError):
-        return EXIT_CAP
-    if isinstance(exc, InvariantError) and "cap" in str(exc):
-        return EXIT_CAP
-    return EXIT_PARSE
+    return EXIT_CAP if isinstance(exc, TooLargeError) else EXIT_PARSE
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

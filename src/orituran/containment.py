@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 from .canon import enumerate_tournaments
 from .graphs import OrientedGraph, TooLargeError
-from .homomorphism import VertexMap
+from .homomorphism import VertexMap, find_map
 
 MAX_ORIENTATION_EDGES = 24
 
@@ -30,84 +30,12 @@ def is_copy_witness(host: OrientedGraph, pattern: OrientedGraph, vm: VertexMap) 
     return all(host.has_arc(m[u], m[v]) for u, v in pattern.arcs())
 
 
-def _search(
-    host: OrientedGraph, pattern: OrientedGraph, pinned: Optional[tuple[int, int]]
-) -> Optional[dict[int, int]]:
-    """Backtracking copy search; pinned = (pattern vertex, host vertex) if any."""
-    order = sorted(
-        range(pattern.n),
-        key=lambda u: (
-            -(pattern.out[u].bit_count() + pattern.in_masks[u].bit_count()),
-            u,
-        ),
-    )
-    if pinned is not None:
-        # branch on the pinned vertex first so the constraint prunes everything
-        order.remove(pinned[0])
-        order.insert(0, pinned[0])
-    position = {u: i for i, u in enumerate(order)}
-    full = (1 << host.n) - 1
-    cand0 = []
-    for u in range(pattern.n):
-        od, idg = pattern.out[u].bit_count(), pattern.in_masks[u].bit_count()
-        m = 0
-        for v in range(host.n):
-            if host.out[v].bit_count() >= od and host.in_masks[v].bit_count() >= idg:
-                m |= 1 << v
-        cand0.append(m if m else 0)
-    if pinned is not None:
-        cand0[pinned[0]] &= 1 << pinned[1]
-    if any(c == 0 for c in cand0):
-        return None
-
-    assignment: dict[int, int] = {}
-
-    def dfs(i: int, cands: list[int], used: int) -> bool:
-        if i == len(order):
-            return True
-        u = order[i]
-        m = cands[u] & ~used
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            new = list(cands)
-            ok = True
-            succ = pattern.out[u]
-            while succ and ok:
-                x = (succ & -succ).bit_length() - 1
-                succ &= succ - 1
-                if position[x] > i:
-                    new[x] &= host.out[v]
-                    ok = (new[x] & ~(used | (1 << v))) != 0
-            pred = pattern.in_masks[u]
-            while pred and ok:
-                x = (pred & -pred).bit_length() - 1
-                pred &= pred - 1
-                if position[x] > i:
-                    new[x] &= host.in_masks[v]
-                    ok = (new[x] & ~(used | (1 << v))) != 0
-            if ok:
-                assignment[u] = v
-                if dfs(i + 1, new, used | (1 << v)):
-                    return True
-                del assignment[u]
-        return False
-
-    if dfs(0, cand0, 0):
-        return dict(assignment)
-    return None
-
-
 def contains_copy(host: OrientedGraph, pattern: OrientedGraph) -> Optional[VertexMap]:
     """A copy of pattern in host as a VertexMap, or None."""
     if pattern.n > host.n or pattern.arc_count > host.arc_count:
         return None
-    if pattern.n == 0:
-        return VertexMap.of(0, host.n, {})
-    found = _search(host, pattern, None)
-    if found is None:
-        return None
-    return VertexMap.of(pattern.n, host.n, found)
+    found = find_map(pattern, host, injective=True)
+    return None if found is None else VertexMap.of(pattern.n, host.n, found)
 
 
 def contains_copy_through(
@@ -122,13 +50,8 @@ def contains_copy_through(
         return None
     if not 0 <= through < host.n:
         raise ValueError(f"vertex {through} out of range")
-    if pattern.n == 0:
-        return None
-    for p in range(pattern.n):
-        found = _search(host, pattern, (p, through))
-        if found is not None:
-            return VertexMap.of(pattern.n, host.n, found)
-    return None
+    found = find_map(pattern, host, injective=True, through=through)
+    return None if found is None else VertexMap.of(pattern.n, host.n, found)
 
 
 def is_free(host: OrientedGraph, pattern: OrientedGraph) -> bool:

@@ -457,17 +457,20 @@ def _run_levels(
     best: int,
     best_digits: Optional[bytes],
     budget: Optional[int],
-) -> tuple[int, Optional[bytes], int, bool]:
-    """Extend F-free canonical representatives from level k0 up to n.
+    stop: int,
+) -> tuple[int, Optional[bytes], int, bool, list[tuple[tuple[int, ...], int]]]:
+    """Extend F-free canonical representatives from level k0 up to level stop.
 
-    Returns (best value, witness digits, nodes examined, budget exceeded).
+    Returns (best value, witness digits, nodes examined, budget exceeded,
+    frontier at level stop).  The bounds prune against the final order n, so
+    stopping early yields exactly the frontier a full run would reach there.
     Ties at the final level keep the smallest digit string.
     """
     pattern = OrientedGraph(f_n, f_masks)
     pairs_total = n * (n - 1) // 2
     nodes = 0
     level = frontier
-    for k in range(k0, n):
+    for k in range(k0, stop):
         cap_parent = pairs_total - k * (k - 1) // 2
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
@@ -485,7 +488,7 @@ def _run_levels(
                     break
                 nodes += 1
                 if budget is not None and nodes > budget:
-                    return best, best_digits, nodes, True
+                    return best, best_digits, nodes, True, []
                 raw = extend_masks(masks, state)
                 child = OrientedGraph(k + 1, raw)
                 if contains_copy_through(child, pattern, k) is not None:
@@ -502,10 +505,10 @@ def _run_levels(
                 else:
                     nxt.append((masks_from_digits(digits, k + 1), child_arcs))
         level = nxt
-    return best, best_digits, nodes, False
+    return best, best_digits, nodes, False, level
 
 
-def _levels_worker(args) -> tuple[int, Optional[bytes], int, bool]:
+def _levels_worker(args) -> tuple[int, Optional[bytes], int, bool, list]:
     return _run_levels(*args)
 
 
@@ -523,9 +526,11 @@ def oracle_exo(
 
     Exhaustive up to n = 7; n = 8..10 needs an explicit node budget (the run
     is exact if it finishes, else BudgetExceededError carries the certified
-    lower bound).  The budget caps extension nodes per worker.  The witness is
-    the smallest canonical code among the maximum graphs the pruned search
-    retains; the value itself never depends on jobs or budget.
+    lower bound).  The budget caps extension nodes per worker; with jobs > 1
+    the levels grown before the split count against this process's own
+    budget.  The witness is the smallest canonical code among the maximum
+    graphs the pruned search retains; the value itself never depends on jobs
+    or budget.  nodes counts every extension examined, split levels included.
     """
     spec = pattern if isinstance(pattern, PatternSpec) else PatternSpec.custom(pattern)
     f = spec.graph
@@ -551,52 +556,27 @@ def oracle_exo(
     best = seed.arc_count if seed is not None else -1
     best_digits = _digits_of(seed) if seed is not None else None
 
-    frontier = [((0,), 0)]
-    k0 = 1
-    if jobs > 1 and n >= 4:
-        # grow serially (unbounded, so the frontier is complete) to the split
-        # level, then fan the frontier out across workers
-        split_at = min(3, n - 1)
-        level = frontier
-        for k in range(1, split_at):
-            nxt = []
-            for masks, arcs in level:
-                seen: set[bytes] = set()
-                for state in _ext_states(k, False):
-                    raw = extend_masks(masks, state)
-                    child = OrientedGraph(k + 1, raw)
-                    if contains_copy_through(child, f, k) is not None:
-                        continue
-                    digits = accept_child(raw, k + 1)
-                    if digits is None or digits in seen:
-                        continue
-                    seen.add(digits)
-                    nxt.append((masks_from_digits(digits, k + 1), len(digits) - digits.count(0)))
-            level = nxt
-        chunks: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(jobs)]
-        for i, item in enumerate(level):
-            chunks[i % jobs].append(item)
+    # with several workers, grow the levels below the split here, then deal
+    # the frontier out round-robin; each worker prunes against its own best,
+    # so nodes match the serial run unless best rises during the last level
+    split_at = 3 if jobs > 1 and n >= 4 else n
+    best, best_digits, nodes, exceeded, frontier = _run_levels(
+        n, f.out, f.n, [((0,), 0)], 1, best, best_digits, budget, split_at
+    )
+    if split_at < n and not exceeded:
         args = [
-            (n, f.out, f.n, chunk, split_at, best, best_digits, budget)
-            for chunk in chunks
-            if chunk
+            (n, f.out, f.n, frontier[i::jobs], split_at, best, best_digits, budget, n)
+            for i in range(min(jobs, len(frontier)))
         ]
-        total_nodes = 0
-        exceeded = False
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for value, digits, used, ex in pool.map(_levels_worker, args):
-                total_nodes += used
+            for value, digits, used, ex, _ in pool.map(_levels_worker, args):
+                nodes += used
                 exceeded = exceeded or ex
                 if value > best:
                     best, best_digits = value, digits
                 elif value == best and digits is not None:
                     if best_digits is None or digits < best_digits:
                         best_digits = digits
-        nodes = total_nodes
-    else:
-        best, best_digits, nodes, exceeded = _run_levels(
-            n, f.out, f.n, frontier, k0, best, best_digits, budget
-        )
 
     if best_digits is not None:
         witness = OrientedGraph(n, masks_from_digits(best_digits, n))

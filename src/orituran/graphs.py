@@ -42,6 +42,10 @@ class TooLargeError(GraphError):
     """Instance exceeds a documented size cap."""
 
 
+class VertexCapError(InvariantError, TooLargeError):
+    """More than MAX_VERTICES vertices: a broken invariant and a size cap."""
+
+
 class ParseError(GraphError):
     """Malformed .og text. Carries 1-based line and column."""
 
@@ -55,7 +59,7 @@ def _check_vertex_count(n: int) -> None:
     if n < 0:
         raise InvariantError(f"vertex count {n} is negative")
     if n > MAX_VERTICES:
-        raise InvariantError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
+        raise VertexCapError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
 
 
 @dataclass(frozen=True)

@@ -76,47 +76,45 @@ def is_antidirected(g: OrientedGraph) -> bool:
     return all(g.out[u] == 0 or g.in_masks[u] == 0 for u in range(g.n))
 
 
-def hom_exists(f: OrientedGraph, d: OrientedGraph) -> Optional[VertexMap]:
-    """First homomorphism f -> d found by backtracking, or None.
+def find_map(
+    f: OrientedGraph, d: OrientedGraph, injective: bool, through: Optional[int] = None
+) -> Optional[dict[int, int]]:
+    """First arc-preserving map f -> d found by backtracking, or None.
 
-    Source vertices are processed by decreasing total degree; assigning a
-    vertex filters the candidate sets of its not-yet-assigned neighbours
-    (arc-consistency), which stays sound for non-injective maps.
+    With injective set the map is a copy of f in d, otherwise a homomorphism.
+    Source vertices are processed by decreasing total degree (ties by index);
+    assigning a vertex filters the candidate sets of its not-yet-assigned
+    neighbours (arc-consistency), which stays sound for non-injective maps.
+    With through set, only maps whose image holds that target vertex count:
+    each source vertex in turn is pinned to it and branched on first.
     """
-    if d.n == 0:
-        return VertexMap.of(f.n, 0, {}) if f.n == 0 else None
     order = sorted(
         range(f.n),
         key=lambda u: (-(f.out[u].bit_count() + f.in_masks[u].bit_count()), u),
     )
-    position = {u: i for i, u in enumerate(order)}
-    full = (1 << d.n) - 1
-    has_out = 0
-    has_in = 0
-    for v in range(d.n):
-        if d.out[v]:
-            has_out |= 1 << v
-        if d.in_masks[v]:
-            has_in |= 1 << v
+    out_deg = [m.bit_count() for m in d.out]
+    in_deg = [m.bit_count() for m in d.in_masks]
     cand0 = []
     for u in range(f.n):
-        m = full
-        if f.out[u]:
-            m &= has_out
-        if f.in_masks[u]:
-            m &= has_in
-        cand0.append(m)
+        od, idg = f.out[u].bit_count(), f.in_masks[u].bit_count()
+        if not injective:
+            # images may be shared, so only "has some out-arc / in-arc" is forced
+            od, idg = min(od, 1), min(idg, 1)
+        cand0.append(
+            sum(1 << v for v in range(d.n) if out_deg[v] >= od and in_deg[v] >= idg)
+        )
 
     assignment: dict[int, int] = {}
 
-    def dfs(i: int, cands: list[int]) -> bool:
+    def dfs(i: int, cands: list[int], used: int) -> bool:
         if i == len(order):
             return True
         u = order[i]
-        m = cands[u]
+        m = cands[u] & ~used
         while m:
             v = (m & -m).bit_length() - 1
             m &= m - 1
+            taken = used | (1 << v) if injective else 0
             new = list(cands)
             ok = True
             succ = f.out[u]
@@ -125,24 +123,39 @@ def hom_exists(f: OrientedGraph, d: OrientedGraph) -> Optional[VertexMap]:
                 succ &= succ - 1
                 if position[x] > i:
                     new[x] &= d.out[v]
-                    ok = new[x] != 0
+                    ok = (new[x] & ~taken) != 0
             pred = f.in_masks[u]
             while pred and ok:
                 x = (pred & -pred).bit_length() - 1
                 pred &= pred - 1
                 if position[x] > i:
                     new[x] &= d.in_masks[v]
-                    ok = new[x] != 0
+                    ok = (new[x] & ~taken) != 0
             if ok:
                 assignment[u] = v
-                if dfs(i + 1, new):
+                if dfs(i + 1, new, taken):
                     return True
                 del assignment[u]
         return False
 
-    if dfs(0, cand0):
-        return VertexMap.of(f.n, d.n, assignment)
+    by_degree = order
+    for pin in (None,) if through is None else range(f.n):
+        cands = list(cand0)
+        if pin is not None:
+            # branch on the pinned vertex first so the constraint prunes everything
+            order = [pin] + [u for u in by_degree if u != pin]
+            cands[pin] &= 1 << through
+        if all(cands):
+            position = {u: i for i, u in enumerate(order)}
+            if dfs(0, cands, 0):
+                return assignment
     return None
+
+
+def hom_exists(f: OrientedGraph, d: OrientedGraph) -> Optional[VertexMap]:
+    """First homomorphism f -> d found by backtracking, or None."""
+    found = find_map(f, d, injective=False)
+    return None if found is None else VertexMap.of(f.n, d.n, found)
 
 
 @dataclass(frozen=True)

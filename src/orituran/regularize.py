@@ -619,7 +619,7 @@ def faks_pipeline(
         bip = extract_bipartite(g, seed * 4 + 1)
     except AttemptsExhausted as exc:
         return PipelineResult(None, tuple(stages), f"extract: {exc}")
-    c = 4.0 * bip.arc_count / (g.n ** (1.0 + eps))
+    c = 4.0 * bip.arc_count / (g.n ** (1.0 + eps)) if g.n else 0.0
     stages.append(
         (
             "extract",

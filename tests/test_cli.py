@@ -118,6 +118,21 @@ def test_exo_budget_exit(capsys):
     assert "lower bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"],
+        ["exo", "--n", "4", "--pattern", "dpath3", "--budget", "-1"],
+        ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", "dpath3",
+         "--jobs", "0"],
+    ],
+)
+def test_integer_flags_out_of_range(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == "" and "must be at least" in err
+
+
 def test_exo_cap_exit(capsys):
     code, _, _ = _run(capsys, ["exo", "--n", "11", "--pattern", "dpath3"])
     assert code == 3
@@ -177,6 +192,21 @@ def test_embed_diagnostic_and_determinism(og_dir, capsys):
     assert obj["embedding"] is None
     assert obj["stages"][0]["stage"] == "extract"
     assert obj["failure"]
+
+
+def test_embed_empty_host(og_dir, capsys):
+    (og_dir / "empty.og").write_text("0\n")
+    code, out, _ = _run(
+        capsys,
+        [
+            "embed", "--host", str(og_dir / "empty.og"),
+            "--pattern", "dpath2", "--r", "1", "--seed", "5",
+        ],
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["embedding"] is None
+    assert obj["failure"].startswith("regularize: ")
 
 
 def test_embed_rejects_two_way_pattern(og_dir, capsys):

@@ -18,8 +18,10 @@ from orituran.graphs import OrientedGraph, TooLargeError
 from orituran.homomorphism import VertexMap
 
 
-def _naive_contains(host, pattern):
+def _naive_contains(host, pattern, through=None):
     for sub in itertools.permutations(range(host.n), pattern.n):
+        if through is not None and through not in sub:
+            continue
         if all(host.has_arc(sub[u], sub[v]) for u, v in pattern.arcs()):
             return True
     return False
@@ -115,6 +117,12 @@ def test_contains_copy_through_agrees_with_full_search():
             contains_copy_through(host, pat, v) is not None for v in range(host.n)
         )
         assert full == through_any
+        for v in range(host.n):
+            vm = contains_copy_through(host, pat, v)
+            assert (vm is not None) == _naive_contains(host, pat, through=v)
+            if vm is not None:
+                assert is_copy_witness(host, pat, vm)
+                assert v in vm.as_dict().values()
 
 
 def test_all_tournaments_contain_path():

@@ -188,11 +188,14 @@ def test_oracle_accepts_raw_graph():
 
 
 def test_oracle_jobs_deterministic():
-    spec = PatternSpec.parse("dpath3")
-    serial = oracle_exo(6, spec)
-    parallel = oracle_exo(6, spec, jobs=2)
-    assert serial.value == parallel.value
-    assert serial.witness == parallel.witness
+    for token, n in (("dpath3", 6), ("ttour3", 7)):
+        spec = PatternSpec.parse(token)
+        serial = oracle_exo(n, spec)
+        for jobs in (2, 3):
+            parallel = oracle_exo(n, spec, jobs=jobs)
+            assert serial.value == parallel.value
+            assert serial.witness == parallel.witness
+            assert serial.nodes == parallel.nodes, (token, n, jobs)
 
 
 def test_oracle_validates_inputs():

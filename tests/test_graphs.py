@@ -38,8 +38,9 @@ def test_antiparallel_rejected():
 
 def test_vertex_cap():
     OrientedGraph.empty(64)
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError) as exc:
         OrientedGraph.empty(65)
+    assert isinstance(exc.value, TooLargeError)  # the CLI maps it to the cap exit code
 
 
 def test_out_mask_bounds():
