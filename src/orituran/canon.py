@@ -5,10 +5,20 @@ smallest string, over all relabelings, of upper-triangle digits in row-major
 pair order (0,1),(0,2),...,(0,n-1),(1,2),...: digit 0 = no arc, 1 = arc i->j,
 2 = arc j->i.  Serialized as "n:digits".
 
-Codes are found by an exact branch-and-bound over vertex placements: a partial
-placement determines the digits of all pairs among placed vertices, undetermined
-positions are zeros, and zeros minorize every completion, so a partial string
-that is already >= the best known full code can be cut.
+Codes are found by an exact branch-and-bound that fixes the code one row at
+a time.  Row k holds the pairs (k, k+1), ..., (k, n-1), so placing a vertex v
+at position k fixes all of row k once the unplaced vertices are ordered: a
+minimum labelling orders them lexicographically by their digits against the
+placed vertices.  Those digit vectors split the unplaced vertices into an
+ordered partition of cells; placing v splits every cell into the members with
+digit 0, 1 and 2 against v, in that order, and row k lists those digits cell
+by cell.  Only members of the first cell can take position k, and of those
+only the ones whose row k is smallest branch.  Undetermined rows are zeros,
+and zeros minorize every completion, so a partial code that is already >= the
+best known full code is cut.  The search is seeded with the identity
+labelling's digits and cuts on equality, which keeps symmetric inputs cheap.
+For canonical deletion the search can pin one vertex to the last position: it
+stays out of the cells and its digit ends every row.
 
 Enumeration extends canonical (k-1)-vertex representatives by one vertex.  A
 child is kept iff the new vertex is a canonical-deletion vertex: some
@@ -32,22 +42,8 @@ from .graphs import InvariantError, OrientedGraph, TooLargeError
 MAX_CODE_VERTICES = 10
 MAX_ENUM_VERTICES = 7
 
-_PAIR_POS: dict[int, list[list[int]]] = {}
-_DEPTH_POS: dict[int, list[list[int]]] = {}
-
-
-def _tables(n: int) -> tuple[list[list[int]], list[list[int]]]:
-    if n not in _PAIR_POS:
-        pos = [[0] * n for _ in range(n)]
-        p = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                pos[i][j] = p
-                p += 1
-        _PAIR_POS[n] = pos
-        # positions newly determined when vertex k is placed: pairs (i,k), i<k
-        _DEPTH_POS[n] = [[pos[i][k] for i in range(k)] for k in range(n)]
-    return _PAIR_POS[n], _DEPTH_POS[n]
+# _RUNS[d][c]: c copies of digit d, one sorted run of a row
+_RUNS = tuple(tuple(bytes([d]) * c for c in range(MAX_CODE_VERTICES)) for d in range(3))
 
 
 def _identity_digits(out: tuple[int, ...], n: int) -> bytearray:
@@ -64,103 +60,99 @@ def _identity_digits(out: tuple[int, ...], n: int) -> bytearray:
     return d
 
 
-def _min_search(out: tuple[int, ...], n: int, best: bytearray, stop_early: bool) -> bool:
+def _search(
+    out: tuple[int, ...], n: int, best: bytearray, pin: Optional[int], stop_early: bool
+) -> bool:
     """Lower best in place to the minimum code; True iff something beat the seed.
 
-    stop_early returns at the first improvement (enough for canonicity tests).
+    With pin set, only labellings that put vertex pin last are searched.
+    stop_early returns as soon as an improvement is certain, leaving best
+    unspecified (enough for canonicity tests).
     """
-    _, depth_pos = _tables(n)
+    ins = [0] * n
+    for u in range(n):
+        m = out[u]
+        while m:
+            low = m & -m
+            ins[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    pin_bit = 0 if pin is None else 1 << pin
+    zeros, ones, twos = _RUNS
     cur = bytearray(len(best))
-    placed: list[int] = []
     improved = False
 
-    def dfs(k: int, used: int) -> None:
+    def dfs(cells: list[int], off: int) -> None:
         nonlocal improved
-        if k == n:
+        if not cells:
             if cur < best:
                 best[:] = cur
                 improved = True
             return
-        cands = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            ov = out[v]
-            digs = bytes(
-                1 if (out[a] >> v) & 1 else (2 if (ov >> a) & 1 else 0) for a in placed
-            )
-            cands.append((digs, v))
-        cands.sort()
-        positions = depth_pos[k]
-        for digs, v in cands:
-            for p, d in zip(positions, digs):
-                cur[p] = d
-            # zeros at undetermined positions minorize every completion
-            if cur < best:
-                placed.append(v)
-                dfs(k + 1, used | (1 << v))
-                placed.pop()
-            for p in positions:
-                cur[p] = 0
-            if improved and stop_early:
-                return
+        first, rest = cells[0], cells[1:]
+        # Rank the first cell's vertices by the row each would fix.  A cell's
+        # part of a row is its zeros, then ones, then twos, so the counts
+        # (non-zeros, twos) rank it; each fits in 4 bits as n <= 10.
+        least = -1
+        m = first
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            nb, iv = out[v] | ins[v], ins[v]
+            c = first ^ low
+            key = (c & nb).bit_count() << 4 | (c & iv).bit_count()
+            for c in rest:
+                key = key << 8 | (c & nb).bit_count() << 4 | (c & iv).bit_count()
+            if pin_bit:
+                key = key << 2 | (2 if iv & pin_bit else 1 if nb & pin_bit else 0)
+            if least < 0 or key < least:
+                least = key
+                winners = [v]
+            elif key == least:
+                winners.append(v)
+        # only the winners branch; each splits every cell by its relation to v
+        branches = []
+        for v in winners:
+            ov, iv = out[v], ins[v]
+            runs = []
+            split = []
+            for c in [first ^ (1 << v), *rest]:
+                o = c & ov
+                t = c & iv
+                z = c ^ o ^ t
+                runs.append(zeros[z.bit_count()] + ones[o.bit_count()] + twos[t.bit_count()])
+                if z:
+                    split.append(z)
+                if o:
+                    split.append(o)
+                if t:
+                    split.append(t)
+            if pin_bit:
+                runs.append(b"\1" if ov & pin_bit else (b"\2" if iv & pin_bit else b"\0"))
+            branches.append(split)
+        row = b"".join(runs)
+        end = off + len(row)
+        if stop_early and row < best[off:end]:
+            # on any path still searched the rows above equal best's
+            improved = True
+            return
+        cur[off:end] = row
+        for split in branches:
+            # zeros in the rows below minorize every completion
+            if not cur < best or (improved and stop_early):
+                break
+            dfs(split, end)
+        cur[off:end] = bytes(len(row))
 
-    dfs(0, 0)
+    start = ((1 << n) - 1) & ~pin_bit
+    dfs([start] if start else [], 0)
     return improved
 
 
 def _min_digits(out: tuple[int, ...], n: int) -> bytes:
     best = _identity_digits(out, n)
-    _min_search(out, n, best, stop_early=False)
+    _search(out, n, best, None, stop_early=False)
     return bytes(best)
-
-
-def _is_canonical_masks(out: tuple[int, ...], n: int) -> bool:
-    best = _identity_digits(out, n)
-    return not _min_search(out, n, best, stop_early=True)
-
-
-def _min_search_pinned(out: tuple[int, ...], n: int, best: bytearray) -> None:
-    """Lower best in place to the min code over labelings fixing vertex n-1 last.
-
-    Placing position i also determines the pair (i, n-1), since the last
-    position is pre-assigned.
-    """
-    pos, _ = _tables(n)
-    last = n - 1
-    depth_pos = [[pos[i2][i] for i2 in range(i)] + [pos[i][last]] for i in range(last)]
-    cur = bytearray(len(best))
-    placed: list[int] = []
-    o_last = out[last]
-
-    def dfs(k: int, used: int) -> None:
-        if k == last:
-            if cur < best:
-                best[:] = cur
-            return
-        cands = []
-        for v in range(last):
-            if used >> v & 1:
-                continue
-            ov = out[v]
-            digs = bytes(
-                [1 if (out[a] >> v) & 1 else (2 if (ov >> a) & 1 else 0) for a in placed]
-                + [1 if (ov >> last) & 1 else (2 if (o_last >> v) & 1 else 0)]
-            )
-            cands.append((digs, v))
-        cands.sort()
-        positions = depth_pos[k]
-        for digs, v in cands:
-            for p, d in zip(positions, digs):
-                cur[p] = d
-            if cur < best:
-                placed.append(v)
-                dfs(k + 1, used | (1 << v))
-                placed.pop()
-            for p in positions:
-                cur[p] = 0
-
-    dfs(0, 0)
 
 
 def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
@@ -170,9 +162,9 @@ def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
     last position of a minimum-code labelling, else None.
     """
     best = _identity_digits(out, n)
-    _min_search_pinned(out, n, best)
+    _search(out, n, best, n - 1, stop_early=False)
     probe = bytearray(best)
-    if _min_search(out, n, probe, stop_early=True):
+    if _search(out, n, probe, None, stop_early=True):
         return None
     return bytes(best)
 
@@ -244,7 +236,7 @@ def is_canonical(g: OrientedGraph) -> bool:
     """True iff g's own labelling already attains its canonical code."""
     if g.n > MAX_CODE_VERTICES:
         raise TooLargeError(f"canonical code capped at {MAX_CODE_VERTICES} vertices, got {g.n}")
-    return _is_canonical_masks(g.out, g.n)
+    return not _search(g.out, g.n, _identity_digits(g.out, g.n), None, stop_early=True)
 
 
 def is_isomorphic(a: OrientedGraph, b: OrientedGraph) -> bool:

@@ -236,14 +236,20 @@ class BipartiteDigraph:
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        """in_masks[j] = bitset over part_u indices with an arc into part_w[j]."""
-        ins = [0] * len(self.part_w)
-        for i, m in enumerate(self.out_masks):
-            mm = m
-            while mm:
-                j = (mm & -mm).bit_length() - 1
-                ins[j] |= 1 << i
-                mm &= mm - 1
+        """in_masks[j] = bitset over part_u indices with an arc into part_w[j].
+
+        Transposes blocks of rows as binary text: a block's out-masks, highest
+        index first, are joined into one string, so every w-th character is a
+        column, read by int(..., 2) at C speed.  One OR per arc into growing
+        ints would be quadratic in |part_u|; blocks keep the text small.
+        """
+        w = len(self.part_w)
+        ins = [0] * w
+        block = 4096
+        for lo in range(0, len(self.out_masks), block):
+            bits = "".join(format(m, f"0{w}b") for m in reversed(self.out_masks[lo:lo + block]))
+            for j in range(w):
+                ins[j] |= int(bits[w - 1 - j::w], 2) << lo
         return tuple(ins)
 
     @cached_property

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .containment import is_copy_witness
-from .graphs import BipartiteDigraph, InvariantError, OrientedGraph
+from .graphs import BipartiteDigraph, InvariantError, OrientedGraph, TooLargeError
 from .homomorphism import VertexMap
 from .extremal import BadParamsError
 
@@ -338,9 +338,16 @@ def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertif
 
 
 def verify_certificate(g: BipartiteDigraph, cert: RichSetCertificate) -> bool:
-    """Independent brute-force check of the richness property."""
-    if math.comb(len(cert.subset), cert.r) > VERIFY_SUBSET_CAP:
-        return True
+    """Independent brute-force check of the richness property.
+
+    Raises TooLargeError when the subset has more than VERIFY_SUBSET_CAP
+    r-subsets to check.
+    """
+    subsets = math.comb(len(cert.subset), cert.r)
+    if subsets > VERIFY_SUBSET_CAP:
+        raise TooLargeError(
+            f"{subsets} {cert.r}-subsets to check exceed the cap of {VERIFY_SUBSET_CAP}"
+        )
     w_pos = {w: j for j, w in enumerate(g.part_w)}
     for combo in itertools.combinations(cert.subset, cert.r):
         common = ~0

@@ -5,13 +5,17 @@ graphs by canonical code, and the permutation double count sum over classes of
 n!/|Aut| = number of labelled objects.
 """
 
+import hashlib
 import itertools
 import math
+import random
 
+import networkx as nx
 import pytest
 
 from orituran.canon import (
     CanonicalCode,
+    accept_child,
     automorphism_order,
     canonical_code,
     enumerate_oriented_graphs,
@@ -34,22 +38,36 @@ def _all_labelled(n):
         yield OrientedGraph.from_arcs(n, arcs)
 
 
+def _perm_code(g, perm):
+    """Row-major digits of g relabelled so that position i holds vertex perm[i]."""
+    digits = []
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.has_arc(perm[i], perm[j]):
+                digits.append("1")
+            elif g.has_arc(perm[j], perm[i]):
+                digits.append("2")
+            else:
+                digits.append("0")
+    return "".join(digits)
+
+
 def _naive_min_code(g):
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        digits = []
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if g.has_arc(perm[i], perm[j]):
-                    digits.append("1")
-                elif g.has_arc(perm[j], perm[i]):
-                    digits.append("2")
-                else:
-                    digits.append("0")
-        s = "".join(digits)
-        if best is None or s < best:
-            best = s
-    return best
+    return min(_perm_code(g, perm) for perm in itertools.permutations(range(g.n)))
+
+
+def _random_graph(rng, n, p_arc):
+    arcs = []
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < p_arc:
+            arcs.append((i, j) if rng.random() < 0.5 else (j, i))
+    return OrientedGraph.from_arcs(n, arcs)
+
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return OrientedGraph.from_arcs(g.n, ((perm[u], perm[v]) for u, v in g.arcs()))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -64,6 +82,75 @@ def test_code_invariant_under_permutation():
     for perm in itertools.islice(itertools.permutations(range(5)), 40):
         h = g.induced(list(perm))
         assert canonical_code(h) == base
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_code_matches_naive_minimum_on_random_graphs(n):
+    rng = random.Random(n)
+    for _ in range(12):
+        g = _random_graph(rng, n, rng.choice([0.3, 0.6, 0.9, 1.0]))
+        assert canonical_code(g).digits == _naive_min_code(g)
+
+
+def _circulant(n, steps):
+    return OrientedGraph.from_arcs(n, ((i, (i + s) % n) for i in range(n) for s in steps))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        _circulant(10, [1]),  # directed C10
+        OrientedGraph.from_arcs(10, [(i, (i + 1) % 5 + 5 * (i // 5)) for i in range(10)]),  # 2 x C5
+        _circulant(7, [1, 2, 4]),  # quadratic-residue tournament
+        _circulant(9, [1, 2, 3, 4]),
+    ],
+    ids=["C10", "2xC5", "QR7", "circ9"],
+)
+def test_code_invariant_under_relabelling_of_symmetric_graphs(g):
+    rng = random.Random(g.n)
+    base = canonical_code(g)
+    assert is_canonical(base.to_graph())
+    for _ in range(25):
+        assert canonical_code(_relabel(g, rng)) == base
+
+
+def _naive_accept(g):
+    """Min code if vertex n-1 is last in some min-code labelling, else None."""
+    best = _naive_min_code(g)
+    pinned = min(
+        _perm_code(g, perm + (g.n - 1,))
+        for perm in itertools.permutations(range(g.n - 1))
+    )
+    return best if pinned == best else None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_accept_child_matches_brute_force(n):
+    rng = random.Random(100 + n)
+    graphs = _all_labelled(n) if n <= 4 else (
+        _random_graph(rng, n, rng.choice([0.3, 0.7, 1.0])) for _ in range(60)
+    )
+    for g in graphs:
+        got = accept_child(g.out, g.n)
+        assert (None if got is None else "".join(map(str, got))) == _naive_accept(g)
+
+
+def test_is_isomorphic_agrees_with_networkx():
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        g = _random_graph(rng, n, rng.choice([0.3, 0.6, 1.0]))
+        h = _relabel(g, rng)
+        if rng.random() < 0.5:  # reverse one arc: usually no longer isomorphic
+            arcs = list(h.arcs())
+            if arcs:
+                u, v = arcs.pop(rng.randrange(len(arcs)))
+                h = OrientedGraph.from_arcs(n, arcs + [(v, u)])
+        gx = nx.DiGraph(list(g.arcs()))
+        gx.add_nodes_from(range(n))
+        hx = nx.DiGraph(list(h.arcs()))
+        hx.add_nodes_from(range(n))
+        assert is_isomorphic(g, h) == nx.is_isomorphic(gx, hx)
 
 
 def test_code_serialize_roundtrip():
@@ -138,8 +225,30 @@ def test_enumeration_predicate_prunes_hereditarily():
 
 
 def test_tournament_counts():
-    for k, count in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56)]:
+    # OEIS A000568
+    for k, count in [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56), (7, 456)]:
         assert len(enumerate_tournaments(k)) == count
+
+
+def test_oriented_graph_count_n6():
+    # OEIS A001174
+    assert sum(1 for _ in enumerate_oriented_graphs(6)) == 21480
+
+
+def _codes_sha256(graphs):
+    text = "\n".join(canonical_code(g).serialize() for g in graphs)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_enumeration_bytes_are_pinned():
+    # codes in enumeration order, as produced by the column-by-column search
+    # that the row-by-row search replaced: the code definition is unchanged
+    assert _codes_sha256(enumerate_tournaments(7)) == (
+        "4b6646c7aed5b908439c9a527bd3913f8523a0fbe036aa9233942069602dae68"
+    )
+    assert _codes_sha256(enumerate_oriented_graphs(5)) == (
+        "496beab679d3e3faa8fa0aac0139f4e6024c113e2076ca63e2bd5742aa269557"
+    )
 
 
 def test_tournament_double_count_identity():

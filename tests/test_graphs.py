@@ -1,5 +1,7 @@
 """Core graph values: construction invariants, codec, degree bookkeeping."""
 
+import random
+
 import pytest
 
 from orituran.graphs import (
@@ -183,3 +185,24 @@ def test_bipartite_no_vertex_cap():
     wide = BipartiteDigraph(tuple(range(300)), tuple(range(300, 400)), (1,) * 300)
     assert wide.n == 400
     assert wide.arc_count == 300
+
+
+def _loop_in_masks(b):
+    ins = [0] * len(b.part_w)
+    for i, m in enumerate(b.out_masks):
+        while m:
+            j = (m & -m).bit_length() - 1
+            ins[j] |= 1 << i
+            m &= m - 1
+    return tuple(ins)
+
+
+@pytest.mark.parametrize("nu,nw", [(0, 3), (3, 0), (1, 1), (7, 5), (4100, 9), (9000, 67)])
+def test_bipartite_in_masks_match_per_arc_loop(nu, nw):
+    # sizes straddle the 4096-row transpose blocks and a 64-bit word
+    rng = random.Random(nu * 1000 + nw)
+    full = (1 << nw) - 1
+    random_masks = tuple(rng.getrandbits(nw) if nw else 0 for _ in range(nu))
+    for masks in ((0,) * nu, random_masks, (full,) * nu):
+        b = BipartiteDigraph(tuple(range(nu)), tuple(range(nu, nu + nw)), masks)
+        assert b.in_masks == _loop_in_masks(b)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from orituran.graphs import BipartiteDigraph, OrientedGraph
+from orituran.graphs import BipartiteDigraph, OrientedGraph, TooLargeError
 from orituran.extremal import BadParamsError
 from orituran.regularize import (
     CertificateInsufficient,
@@ -230,6 +230,14 @@ def test_verify_certificate_rejects_poor_subsets():
     host = BipartiteDigraph((0, 1), (2, 3), (3, 1))
     bogus = RichSetCertificate(subset=(2, 3), r=1, h=2, witnesses=())
     assert not verify_certificate(host, bogus)
+
+
+def test_verify_certificate_refuses_unchecked_sizes():
+    # C(40, 6) = 3,838,380 subsets is over the cap: no silent pass
+    host = _complete_bipartite(2, 40)
+    cert = RichSetCertificate(subset=tuple(range(2, 42)), r=6, h=2, witnesses=())
+    with pytest.raises(TooLargeError):
+        verify_certificate(host, cert)
 
 
 # --- embedding through a certificate -----------------------------------------------
