@@ -271,6 +271,7 @@ def automorphism_order(g: OrientedGraph) -> int:
 # --- isomorph-free generation -------------------------------------------------
 
 _EXT_STATES: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+_EXT_MASKS: dict[int, list[int]] = {}
 
 
 def _ext_states(k: int, tournament: bool) -> list[tuple[int, ...]]:
@@ -285,6 +286,17 @@ def _ext_states(k: int, tournament: bool) -> list[tuple[int, ...]]:
         states.sort(key=lambda st: (st.count(0), st))
         _EXT_STATES[key] = states
     return _EXT_STATES[key]
+
+
+def _ext_masks(k: int) -> list[int]:
+    """x_out | x_in << k per state of _ext_states(k, False): the new vertex x
+    points to the old vertices of state 2 and receives arcs from those of 1."""
+    if k not in _EXT_MASKS:
+        _EXT_MASKS[k] = [
+            sum(1 << u + (s == 1) * k for u, s in enumerate(st) if s)
+            for st in _ext_states(k, False)
+        ]
+    return _EXT_MASKS[k]
 
 
 def extend_masks(masks: tuple[int, ...], state: tuple[int, ...]) -> tuple[int, ...]:

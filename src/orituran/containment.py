@@ -7,7 +7,6 @@ image vertices are allowed.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional, Sequence
 
 from .canon import enumerate_tournaments
@@ -76,6 +75,8 @@ def all_tournaments_contain(
             if contains_copy(t, pattern) is None:
                 return False, t
         return True, None
+    from concurrent.futures import ProcessPoolExecutor
+
     ts = list(enumerate_tournaments(k))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         misses = list(pool.map(_tournament_misses, ((t, pattern) for t in ts), chunksize=16))

@@ -4,27 +4,32 @@ exo(n, F) is the largest arc count among n-vertex oriented graphs containing
 no copy of F.  The oracle enumerates F-free graphs one isomorphism class at a
 time (freeness survives vertex deletion, so pruning whole subtrees is sound)
 with a branch-and-bound cutoff, and is seeded with a verified F-free
-construction when one applies.
+construction when one applies.  A child P + x of an F-free parent P contains F
+exactly when P holds a copy phi of some F - u with phi(N+(u)) inside x's
+out-set and phi(N-(u)) inside its in-set, so each parent lists the minimal
+such pairs once and each extension costs a few AND tests (one-vertex
+extension by feasible neighbourhoods, McKay & Radziszowski, R(4,5) = 25).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
     CanonicalCode,
+    _ext_masks,
     _ext_states,
     accept_child,
     canonical_code,
     extend_masks,
     masks_from_digits,
 )
+# contains_copy_through is unused here; bench/layers.py rebinds it until the stats channel lands
 from .containment import contains_copy_through, is_free
 from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError
-from .homomorphism import EmptyPatternError, compressibility
+from .homomorphism import EmptyPatternError, compressibility, find_map
 
 MAX_EXACT_VERTICES = 7
 
@@ -299,26 +304,20 @@ def build_construction(
     if name == "turan":
         if r is None or r < 1:
             raise BadParamsError("turan construction needs r >= 1")
-        if pattern is None:
+        res = None if pattern is None else compressibility(pattern.graph)
+        if res is None or res.is_infinite:
             order = OrientedGraph.from_arcs(
                 r, [(i, j) for i in range(r) for j in range(i + 1, r)]
             )
         else:
-            res = compressibility(pattern.graph)
-            if res.is_infinite:
-                order = OrientedGraph.from_arcs(
-                    r, [(i, j) for i in range(r) for j in range(i + 1, r)]
+            if r > res.witness.n:
+                raise BadParamsError(
+                    f"no pattern-free blow-up on {r} parts: every tournament on "
+                    f"{res.value} or more vertices admits the pattern"
                 )
-            else:
-                if r > res.witness.n:
-                    raise BadParamsError(
-                        f"no pattern-free blow-up on {r} parts: every tournament on "
-                        f"{res.value} or more vertices admits the pattern"
-                    )
-                order = res.witness.induced(range(r))
+            order = res.witness.induced(range(r))
         if r >= n:
-            order = order.induced(range(n))
-            return order
+            return order.induced(range(n))
         base, extra = divmod(n, r)
         bounds = []
         start = 0
@@ -448,10 +447,41 @@ class ExtremalRecord:
     validity: Optional[str] = None
 
 
+Deletion = tuple[OrientedGraph, tuple[tuple[int, int], ...]]
+
+
+def _deletions(f: OrientedGraph) -> list[Deletion]:
+    """F - u for each vertex u, with u's neighbours as (label in F - u, side),
+    side 0 for an out-neighbour and 1 for an in-neighbour."""
+    parts = []
+    for u in range(f.n):
+        rest = [v for v in range(f.n) if v != u]
+        ins, nbrs = f.in_masks[u], f.out[u] | f.in_masks[u]
+        sides = tuple((i, ins >> v & 1) for i, v in enumerate(rest) if nbrs >> v & 1)
+        parts.append((f.induced(rest), sides))
+    return parts
+
+
+def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[Deletion]) -> list[int]:
+    """Minimal phi(N+(u)) | phi(N-(u)) << k over the copies phi of each F - u in
+    the parent P (masks); state x_out | x_in << k adds a copy of F iff it covers one."""
+    host = OrientedGraph(k, masks)
+    found: set[int] = set()
+    for g, nbrs in deletions:
+        if g.n <= k and g.arc_count <= host.arc_count:
+            # every copy adds its mask; add returns None, so the search goes on
+            find_map(g, host, True, on_leaf=lambda phi, nbrs=nbrs: found.add(
+                sum(1 << phi[i] + side * k for i, side in nbrs)))
+    minimal: list[int] = []
+    for p in sorted(found, key=int.bit_count):
+        if all(p & q != q for q in minimal):
+            minimal.append(p)
+    return minimal
+
+
 def _run_levels(
     n: int,
-    f_masks: tuple[int, ...],
-    f_n: int,
+    deletions: list[Deletion],
     frontier: list[tuple[tuple[int, ...], int]],
     k0: int,
     best: int,
@@ -466,7 +496,6 @@ def _run_levels(
     stopping early yields exactly the frontier a full run would reach there.
     Ties at the final level keep the smallest digit string.
     """
-    pattern = OrientedGraph(f_n, f_masks)
     pairs_total = n * (n - 1) // 2
     nodes = 0
     level = frontier
@@ -479,7 +508,8 @@ def _run_levels(
             if arcs + cap_parent <= best:
                 continue
             seen: set[bytes] = set()
-            for state in _ext_states(k, False):
+            forbidden = None  # built on the first examined child
+            for state, x in zip(_ext_states(k, False), _ext_masks(k)):
                 child_arcs = arcs + k - state.count(0)
                 if last:
                     if child_arcs < best:
@@ -489,31 +519,25 @@ def _run_levels(
                 nodes += 1
                 if budget is not None and nodes > budget:
                     return best, best_digits, nodes, True, []
-                raw = extend_masks(masks, state)
-                child = OrientedGraph(k + 1, raw)
-                if contains_copy_through(child, pattern, k) is not None:
-                    continue
-                digits = accept_child(raw, k + 1)
-                if digits is None or digits in seen:
-                    continue
-                seen.add(digits)
-                if last:
-                    if child_arcs > best:
-                        best, best_digits = child_arcs, digits
-                    elif best_digits is None or digits < best_digits:
-                        best_digits = digits
+                if forbidden is None:
+                    forbidden = _forbidden_pairs(masks, k, deletions)
+                for p in forbidden:
+                    if p & x == p:
+                        break  # x would complete a copy of F
                 else:
-                    nxt.append((masks_from_digits(digits, k + 1), child_arcs))
+                    digits = accept_child(extend_masks(masks, state), k + 1)
+                    if digits is None or digits in seen:
+                        continue
+                    seen.add(digits)
+                    if last:
+                        if child_arcs > best:
+                            best, best_digits = child_arcs, digits
+                        elif best_digits is None or digits < best_digits:
+                            best_digits = digits
+                    else:
+                        nxt.append((masks_from_digits(digits, k + 1), child_arcs))
         level = nxt
     return best, best_digits, nodes, False, level
-
-
-def _levels_worker(args) -> tuple[int, Optional[bytes], int, bool, list]:
-    return _run_levels(*args)
-
-
-def _digits_of(g: OrientedGraph) -> bytes:
-    return bytes(int(c) for c in canonical_code(g).digits)
 
 
 def oracle_exo(
@@ -552,24 +576,27 @@ def oracle_exo(
         )
         return ExtremalRecord(n, spec, witness.arc_count, witness)
 
+    deletions = _deletions(f)
     seed = _construction_seed(spec, n)
     best = seed.arc_count if seed is not None else -1
-    best_digits = _digits_of(seed) if seed is not None else None
+    best_digits = None if seed is None else bytes(int(c) for c in canonical_code(seed).digits)
 
     # with several workers, grow the levels below the split here, then deal
     # the frontier out round-robin; each worker prunes against its own best,
     # so nodes match the serial run unless best rises during the last level
     split_at = 3 if jobs > 1 and n >= 4 else n
     best, best_digits, nodes, exceeded, frontier = _run_levels(
-        n, f.out, f.n, [((0,), 0)], 1, best, best_digits, budget, split_at
+        n, deletions, [((0,), 0)], 1, best, best_digits, budget, split_at
     )
     if split_at < n and not exceeded:
+        from concurrent.futures import ProcessPoolExecutor
+
         args = [
-            (n, f.out, f.n, frontier[i::jobs], split_at, best, best_digits, budget, n)
+            (n, deletions, frontier[i::jobs], split_at, best, best_digits, budget, n)
             for i in range(min(jobs, len(frontier)))
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for value, digits, used, ex, _ in pool.map(_levels_worker, args):
+            for value, digits, used, ex, _ in pool.map(_run_levels, *zip(*args)):
                 nodes += used
                 exceeded = exceeded or ex
                 if value > best:

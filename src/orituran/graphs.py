@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
@@ -302,15 +303,17 @@ class BipartiteDigraph:
         w_pos = {w: j for j, w in enumerate(self.part_w)}
         keep_w = [w_pos[w] for w in w_ids]
         u_pos = {u: i for i, u in enumerate(self.part_u)}
-        masks = []
-        for u in u_ids:
-            old = self.out_masks[u_pos[u]]
-            m = 0
-            for new_j, old_j in enumerate(keep_w):
-                if old >> old_j & 1:
-                    m |= 1 << new_j
-            masks.append(m)
-        return BipartiteDigraph(tuple(u_ids), tuple(w_ids), tuple(masks))
+        if not keep_w:
+            return BipartiteDigraph(tuple(u_ids), (), (0,) * len(u_ids))
+        # column j of a row's binary text sits at index w - 1 - j; pick the
+        # kept columns highest new index first and read them back at C speed
+        w = len(self.part_w)
+        pick = itemgetter(*[w - 1 - j for j in reversed(keep_w)])
+        fmt = f"0{w}b"
+        masks = tuple(
+            int("".join(pick(format(self.out_masks[u_pos[u]], fmt))), 2) for u in u_ids
+        )
+        return BipartiteDigraph(tuple(u_ids), tuple(w_ids), masks)
 
 
 # --- .og codec ---------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
 from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError
@@ -77,7 +77,8 @@ def is_antidirected(g: OrientedGraph) -> bool:
 
 
 def find_map(
-    f: OrientedGraph, d: OrientedGraph, injective: bool, through: Optional[int] = None
+    f: OrientedGraph, d: OrientedGraph, injective: bool, through: Optional[int] = None,
+    on_leaf: Optional[Callable[[dict[int, int]], object]] = None,
 ) -> Optional[dict[int, int]]:
     """First arc-preserving map f -> d found by backtracking, or None.
 
@@ -87,6 +88,8 @@ def find_map(
     neighbours (arc-consistency), which stays sound for non-injective maps.
     With through set, only maps whose image holds that target vertex count:
     each source vertex in turn is pinned to it and branched on first.
+    With on_leaf set, each complete map (one reused dict) is passed to it in
+    search order, and the search stops at the first for which it returns true.
     """
     order = sorted(
         range(f.n),
@@ -108,7 +111,7 @@ def find_map(
 
     def dfs(i: int, cands: list[int], used: int) -> bool:
         if i == len(order):
-            return True
+            return on_leaf is None or on_leaf(assignment)
         u = order[i]
         m = cands[u] & ~used
         while m:

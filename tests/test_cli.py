@@ -1,9 +1,14 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import orituran
 from orituran.cli import main
 from orituran.graphs import decode
 
@@ -286,3 +291,17 @@ def test_json_outputs_are_canonical(og_dir, capsys):
     code, out2, _ = _run(capsys, ["compress", str(og_dir / "p4.og"), "--json"])
     assert out1 == out2
     assert json.dumps(json.loads(out1), sort_keys=True, separators=(",", ":")) + "\n" == out1
+
+
+def test_cold_import_skips_process_pool():
+    # the pool is imported only when --jobs asks for workers, to keep start-up short
+    src = str(Path(orituran.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, orituran.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -1,9 +1,13 @@
 """Subgraph containment: witness checks, naive cross-validation, universal sweeps."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from orituran.canon import _ext_masks, _ext_states, extend_masks
 from orituran.containment import (
     all_orientations_contain,
     all_tournaments_contain,
@@ -13,7 +17,7 @@ from orituran.containment import (
     is_free,
     orientation_graph,
 )
-from orituran.extremal import PatternSpec
+from orituran.extremal import PatternSpec, _deletions, _forbidden_pairs
 from orituran.graphs import OrientedGraph, TooLargeError
 from orituran.homomorphism import VertexMap
 
@@ -174,3 +178,59 @@ def test_all_orientations_edge_cap():
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8)][:25]
     with pytest.raises(TooLargeError):
         all_orientations_contain(8, edges, OrientedGraph.from_arcs(2, [(0, 1)]))
+
+
+# --- one-vertex extension test of the oracle -------------------------------------
+
+NAMED_PATTERNS = [
+    "dpath3", "dpath4", "dcycle3", "dcycle4", "ttour3", "ttour4", "star:1,2",
+    "star:0,2", "star:2,0", "matching2", "adpath4", "oc4", "prop23", "prop23m",
+    "p3plusarc", "thm32",
+]
+# an arc plus an isolated vertex: deleting the isolated vertex needs nothing of x
+ARC_PLUS_POINT = OrientedGraph.from_arcs(3, [(0, 1)])
+
+
+def _free_parent(rng, k, pattern):
+    """A random pattern-free graph on k vertices: delete arcs of copies until none."""
+    g = _random_graph(rng, k, rng.random())
+    while (vm := contains_copy(g, pattern)) is not None:
+        u, v = rng.choice(sorted(pattern.arcs()))
+        m = vm.as_dict()
+        out = list(g.out)
+        out[m[u]] &= ~(1 << m[v])
+        g = OrientedGraph(k, tuple(out))
+    return g
+
+
+def _hits(forbidden, x):
+    return any(p & x == p for p in forbidden)
+
+
+@given(
+    st.sampled_from(NAMED_PATTERNS + ["arc+point"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_forbidden_pairs_match_naive_through_search(token, k, seed):
+    pattern = ARC_PLUS_POINT if token == "arc+point" else PatternSpec.parse(token).graph
+    parent = _free_parent(random.Random(seed), k, pattern)
+    forbidden = _forbidden_pairs(parent.out, k, _deletions(pattern))
+    for state, x in zip(_ext_states(k, False), _ext_masks(k)):
+        child = OrientedGraph(k + 1, extend_masks(parent.out, state))
+        hit = _hits(forbidden, x)
+        assert hit == _naive_contains(child, pattern, through=k), (token, parent, state)
+        assert hit == (contains_copy_through(child, pattern, k) is not None)
+
+
+def test_forbidden_pairs_edge_cases():
+    arc = OrientedGraph.from_arcs(2, [(0, 1)])
+    # a parent holding F - u for an isolated u: every new vertex completes F
+    assert _forbidden_pairs(arc.out, 2, _deletions(ARC_PLUS_POINT)) == [0]
+    # with no arc, x needs one out- or in-neighbour in P; the other vertex is the point
+    assert sorted(_forbidden_pairs((0, 0), 2, _deletions(ARC_PLUS_POINT))) == [1, 2, 4, 8]
+    # F - u larger than the parent: no copy, no pair
+    big = PatternSpec.parse("matching3").graph
+    assert _forbidden_pairs(_random_graph(random.Random(5), 4, 0.9).out, 4, _deletions(big)) == []
+    # the single arc: x needs one out-neighbour or one in-neighbour
+    assert sorted(_forbidden_pairs((0,), 1, _deletions(arc))) == [0b01, 0b10]

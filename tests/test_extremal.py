@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orituran.containment import is_free
 from orituran.extremal import (
@@ -150,7 +152,8 @@ def test_formula_absent():
 
 @pytest.mark.parametrize(
     "token",
-    ["dpath3", "dpath4", "matching2", "star:0,2", "adpath4", "thm32"],
+    ["dpath3", "dpath4", "dcycle3", "ttour3", "matching2", "star:0,2", "star:1,2",
+     "adpath4", "oc4", "prop23", "prop23m", "p3plusarc", "thm32"],
 )
 def test_oracle_matches_brute_force(token):
     spec = PatternSpec.parse(token)
@@ -161,24 +164,45 @@ def test_oracle_matches_brute_force(token):
         assert rec.witness.arc_count == rec.value
 
 
+@given(st.integers(2, 4), st.lists(st.integers(0, 2), min_size=6, max_size=6))
+def test_oracle_matches_brute_force_on_random_patterns(k, digits):
+    pairs = itertools.combinations(range(k), 2)  # zip uses the first C(k, 2) digits
+    arcs = [(i, j) if d == 1 else (j, i) for (i, j), d in zip(pairs, digits) if d]
+    if not arcs:
+        arcs = [(0, 1)]
+    pattern = OrientedGraph.from_arcs(k, arcs)
+    for n in range(1, 5):
+        rec = oracle_exo(n, pattern)
+        assert rec.value == _naive_exo(n, pattern), (arcs, n)
+        assert is_free(rec.witness, pattern)
+
+
 def test_oracle_frozen_values():
+    # (pattern, n, value, nodes): nodes pins the work as well as the answer
     frozen = [
-        ("dpath3", 5, 6),
-        ("dpath3", 6, 9),
-        ("dpath3", 7, 12),
-        ("dpath4", 7, 16),
-        ("matching2", 7, 6),
-        ("star:0,2", 7, 7),
-        ("adpath4", 5, 7),
-        ("adpath4", 6, 9),
-        ("star:1,2", 6, 12),
-        ("prop23", 6, 9),
-        ("p3plusarc", 6, 9),
-        ("thm32", 6, 12),
+        ("dpath3", 5, 6, 317),
+        ("dpath3", 6, 9, 1192),
+        ("dpath3", 7, 12, 7220),
+        ("adpath4", 5, 7, 572),
+        ("adpath4", 6, 9, 7891),
+        ("star:1,2", 6, 12, 1300),
+        ("prop23", 6, 9, 5138),
+        ("p3plusarc", 6, 9, 16599),
+        ("thm32", 6, 12, 3308),
+        ("dpath4", 7, 16, 6666),
+        ("ttour3", 7, 16, 4095),
+        ("star:1,2", 7, 16, 11195),
+        ("matching2", 7, 6, 18616),
+        ("prop23", 7, 12, 25413),
+        ("adpath4", 7, 11, 104297),
+        ("p3plusarc", 7, 11, 112155),
+        ("thm32", 7, 16, 44804),
+        ("star:0,2", 7, 7, 57775),
+        ("oc4", 7, 16, 25346),
     ]
-    for token, n, want in frozen:
+    for token, n, want, nodes in frozen:
         rec = oracle_exo(n, PatternSpec.parse(token))
-        assert rec.value == want, (token, n)
+        assert (rec.value, rec.nodes) == (want, nodes), (token, n)
         assert is_free(rec.witness, PatternSpec.parse(token).graph)
 
 
@@ -188,7 +212,7 @@ def test_oracle_accepts_raw_graph():
 
 
 def test_oracle_jobs_deterministic():
-    for token, n in (("dpath3", 6), ("ttour3", 7)):
+    for token, n in (("dpath3", 6), ("ttour3", 7), ("prop23", 7)):
         spec = PatternSpec.parse(token)
         serial = oracle_exo(n, spec)
         for jobs in (2, 3):

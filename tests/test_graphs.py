@@ -206,3 +206,26 @@ def test_bipartite_in_masks_match_per_arc_loop(nu, nw):
     for masks in ((0,) * nu, random_masks, (full,) * nu):
         b = BipartiteDigraph(tuple(range(nu)), tuple(range(nu, nu + nw)), masks)
         assert b.in_masks == _loop_in_masks(b)
+
+
+def _loop_restrict(b, u_ids, w_ids):
+    w_pos = {w: j for j, w in enumerate(b.part_w)}
+    keep_w = [w_pos[w] for w in w_ids]
+    u_pos = {u: i for i, u in enumerate(b.part_u)}
+    masks = []
+    for u in u_ids:
+        old = b.out_masks[u_pos[u]]
+        masks.append(sum(1 << new_j for new_j, old_j in enumerate(keep_w) if old >> old_j & 1))
+    return BipartiteDigraph(tuple(u_ids), tuple(w_ids), tuple(masks))
+
+
+@pytest.mark.parametrize("nu,nw", [(0, 3), (3, 0), (1, 1), (7, 5), (300, 67)])
+def test_bipartite_restrict_matches_per_bit_loop(nu, nw):
+    rng = random.Random(nu * 1000 + nw + 1)
+    part_u = tuple(range(nu))
+    part_w = tuple(range(nu, nu + nw))
+    b = BipartiteDigraph(part_u, part_w, tuple(rng.getrandbits(nw) if nw else 0 for _ in range(nu)))
+    u_ids = rng.sample(part_u, nu // 2 + 1) if nu else []
+    shuffled = rng.sample(part_w, nw)
+    for w_ids in (sorted(shuffled), shuffled, shuffled[: nw // 2], shuffled[:1], []):
+        assert b.restrict(u_ids, w_ids) == _loop_restrict(b, u_ids, w_ids)
