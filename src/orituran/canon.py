@@ -20,7 +20,9 @@ labelling's digits and cuts on equality, which keeps symmetric inputs cheap.
 For canonical deletion the search can pin one vertex to the last position: it
 stays out of the cells and its digit ends every row.
 
-Enumeration extends canonical (k-1)-vertex representatives by one vertex.  A
+Enumeration extends canonical (k-1)-vertex representatives by one vertex.  Each
+way to join it is one int x_out | x_in << k (the new vertex's out- and
+in-neighbours), listed densest first; the exo oracle walks the same list.  A
 child is kept iff the new vertex is a canonical-deletion vertex: some
 minimum-code labelling of the child puts it in the last position.  Children of
 one parent that pass are deduplicated by code (two extension patterns can be
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .graphs import InvariantError, OrientedGraph, TooLargeError
 
@@ -270,44 +272,37 @@ def automorphism_order(g: OrientedGraph) -> int:
 
 # --- isomorph-free generation -------------------------------------------------
 
-_EXT_STATES: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
-_EXT_MASKS: dict[int, list[int]] = {}
+_EXTENSIONS: dict[tuple[int, bool], list[int]] = {}
 
 
-def _ext_states(k: int, tournament: bool) -> list[tuple[int, ...]]:
-    """Arc patterns from k old vertices to a new one; densest first.
+def _extensions(k: int, tournament: bool) -> list[int]:
+    """Ways to join a new vertex x to k old ones, as x_out | x_in << k.
 
-    State per old vertex u: 0 none, 1 u->new, 2 new->u.
+    x points to the old vertices in x_out and receives arcs from those in
+    x_in.  Read per old vertex u as a state (0 none, 1 u->x, 2 x->u), the list
+    is sorted by (number of 0 states, state tuple): densest first.
     """
     key = (k, tournament)
-    if key not in _EXT_STATES:
-        alphabet = (1, 2) if tournament else (0, 1, 2)
-        states = list(itertools.product(alphabet, repeat=k))
-        states.sort(key=lambda st: (st.count(0), st))
-        _EXT_STATES[key] = states
-    return _EXT_STATES[key]
-
-
-def _ext_masks(k: int) -> list[int]:
-    """x_out | x_in << k per state of _ext_states(k, False): the new vertex x
-    points to the old vertices of state 2 and receives arcs from those of 1."""
-    if k not in _EXT_MASKS:
-        _EXT_MASKS[k] = [
+    if key not in _EXTENSIONS:
+        states = itertools.product((1, 2) if tournament else (0, 1, 2), repeat=k)
+        _EXTENSIONS[key] = [
             sum(1 << u + (s == 1) * k for u, s in enumerate(st) if s)
-            for st in _ext_states(k, False)
+            for st in sorted(states, key=lambda st: (st.count(0), st))
         ]
-    return _EXT_MASKS[k]
+    return _EXTENSIONS[key]
 
 
-def extend_masks(masks: tuple[int, ...], state: tuple[int, ...]) -> tuple[int, ...]:
+def extend_masks(masks: tuple[int, ...], x: int) -> tuple[int, ...]:
+    """The parent's out-masks plus a new vertex k joined by extension x."""
     k = len(masks)
-    new = list(masks) + [0]
     bit_k = 1 << k
-    for u, s in enumerate(state):
-        if s == 1:
-            new[u] |= bit_k
-        elif s == 2:
-            new[k] |= 1 << u
+    new = list(masks)
+    x_in = x >> k
+    while x_in:
+        low = x_in & -x_in
+        new[low.bit_length() - 1] |= bit_k
+        x_in ^= low
+    new.append(x & bit_k - 1)
     return tuple(new)
 
 
@@ -320,8 +315,8 @@ def canonical_children(
     deduplicated within the parent (automorphic extension patterns collide).
     """
     seen: set[bytes] = set()
-    for state in _ext_states(k, tournament):
-        child = extend_masks(masks, state)
+    for x in _extensions(k, tournament):
+        child = extend_masks(masks, x)
         code = accept_child(child, k + 1)
         if code is None or code in seen:
             continue
@@ -329,31 +324,15 @@ def canonical_children(
         yield masks_from_digits(code, k + 1), code
 
 
-def enumerate_oriented_graphs(
-    n: int, predicate: Optional[Callable[[OrientedGraph], bool]] = None
-) -> Iterator[OrientedGraph]:
-    """Stream one canonical representative per isomorphism class on n vertices.
-
-    A predicate, when given, must be closed under taking subdigraphs (vertex
-    and arc deletions); it is then applied at every intermediate order and
-    prunes whole extension subtrees.
-    """
+def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
+    """Stream one canonical representative per isomorphism class on n vertices."""
     if n < 1:
         raise InvariantError("enumeration needs n >= 1")
     if n > MAX_ENUM_VERTICES:
         raise TooLargeError(f"enumeration capped at {MAX_ENUM_VERTICES} vertices, got {n}")
-
-    def keep(masks: tuple[int, ...], k: int) -> bool:
-        return predicate is None or predicate(OrientedGraph(k, masks))
-
-    level: list[tuple[int, ...]] = [(0,)] if keep((0,), 1) else []
+    level: list[tuple[int, ...]] = [(0,)]
     for k in range(1, n):
-        nxt = []
-        for masks in level:
-            for child, _code in canonical_children(masks, k):
-                if keep(child, k + 1):
-                    nxt.append(child)
-        level = nxt
+        level = [child for masks in level for child, _ in canonical_children(masks, k)]
     for masks in level:
         yield OrientedGraph(n, masks)
 

@@ -189,7 +189,7 @@ def _hypothesis_output(holds: bool, counterexample, as_json: bool) -> int:
 def _cmd_check(args) -> int:
     spec = _load_pattern(args)
     if args.mode == "all-tournaments":
-        holds, cx = all_tournaments_contain(args.k, spec.graph, jobs=args.jobs)
+        holds, cx = all_tournaments_contain(args.k, spec.graph)
         return _hypothesis_output(holds, cx, args.json)
     n, edges = decode_undirected(_read_file(args.host))
     holds, cx = all_orientations_contain(n, edges, spec.graph)
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="tournament order (all-tournaments)")
     p.add_argument("--host", help="undirected host .og file (all-orientations)")
     _add_pattern_args(p)
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check)
 

@@ -43,13 +43,14 @@ def contains_copy_through(
     """A copy whose image includes the host vertex `through`, or None.
 
     When a host known to be pattern-free grows by one vertex, only copies
-    through the new vertex can appear, so this is the incremental check.
+    through the new vertex can appear.  The oracle decides that from its
+    forbidden pairs; this plain search is the cross-check.
     """
     if pattern.n > host.n or pattern.arc_count > host.arc_count:
         return None
     if not 0 <= through < host.n:
         raise ValueError(f"vertex {through} out of range")
-    found = find_map(pattern, host, injective=True, through=through)
+    found = find_map(pattern, host, True, on_leaf=lambda m: through in m.values())
     return None if found is None else VertexMap.of(pattern.n, host.n, found)
 
 
@@ -57,31 +58,16 @@ def is_free(host: OrientedGraph, pattern: OrientedGraph) -> bool:
     return contains_copy(host, pattern) is None
 
 
-def _tournament_misses(args: tuple[OrientedGraph, OrientedGraph]) -> bool:
-    t, pattern = args
-    return contains_copy(t, pattern) is None
-
-
 def all_tournaments_contain(
-    k: int, pattern: OrientedGraph, jobs: int = 1
+    k: int, pattern: OrientedGraph
 ) -> tuple[bool, Optional[OrientedGraph]]:
     """Whether every k-vertex tournament contains the pattern.
 
     Returns (True, None) or (False, first counterexample in enumeration
-    order).  The answer is independent of jobs.
+    order).
     """
-    if jobs <= 1:
-        for t in enumerate_tournaments(k):
-            if contains_copy(t, pattern) is None:
-                return False, t
-        return True, None
-    from concurrent.futures import ProcessPoolExecutor
-
-    ts = list(enumerate_tournaments(k))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        misses = list(pool.map(_tournament_misses, ((t, pattern) for t in ts), chunksize=16))
-    for t, miss in zip(ts, misses):
-        if miss:
+    for t in enumerate_tournaments(k):
+        if contains_copy(t, pattern) is None:
             return False, t
     return True, None
 

@@ -19,8 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .canon import (
     MAX_CODE_VERTICES,
     CanonicalCode,
-    _ext_masks,
-    _ext_states,
+    _extensions,
     accept_child,
     canonical_code,
     extend_masks,
@@ -28,7 +27,7 @@ from .canon import (
 )
 # contains_copy_through is unused here; bench/layers.py rebinds it until the stats channel lands
 from .containment import contains_copy_through, is_free
-from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError
+from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError, _check_vertex_count
 from .homomorphism import EmptyPatternError, compressibility, find_map
 
 MAX_EXACT_VERTICES = 7
@@ -301,9 +300,12 @@ def build_construction(
     """
     if n < 1:
         raise BadParamsError("constructions need n >= 1")
+    # cap sizes before building any arc list, which grows as n^2
+    _check_vertex_count(n)
     if name == "turan":
         if r is None or r < 1:
             raise BadParamsError("turan construction needs r >= 1")
+        _check_vertex_count(r)
         res = None if pattern is None else compressibility(pattern.graph)
         if res is None or res.is_infinite:
             order = OrientedGraph.from_arcs(
@@ -434,17 +436,14 @@ def _construction_seed(spec: PatternSpec, n: int) -> Optional[OrientedGraph]:
 
 @dataclass(frozen=True)
 class ExtremalRecord:
-    """Exact exo value with a verified witness; formula fields are filled only
-    by verify_against_formula."""
+    """Exact exo value with a verified witness and the nodes searched for it;
+    verify_against_formula compares it with the closed form."""
 
     n: int
     pattern: PatternSpec
     value: int
     witness: OrientedGraph
     nodes: int = 0
-    formula: Optional[int] = None
-    matches_formula: Optional[bool] = None
-    validity: Optional[str] = None
 
 
 Deletion = tuple[OrientedGraph, tuple[tuple[int, int], ...]]
@@ -464,7 +463,7 @@ def _deletions(f: OrientedGraph) -> list[Deletion]:
 
 def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[Deletion]) -> list[int]:
     """Minimal phi(N+(u)) | phi(N-(u)) << k over the copies phi of each F - u in
-    the parent P (masks); state x_out | x_in << k adds a copy of F iff it covers one."""
+    the parent P (masks); extension x_out | x_in << k adds a copy of F iff it covers one."""
     host = OrientedGraph(k, masks)
     found: set[int] = set()
     for g, nbrs in deletions:
@@ -509,11 +508,11 @@ def _run_levels(
                 continue
             seen: set[bytes] = set()
             forbidden = None  # built on the first examined child
-            for state, x in zip(_ext_states(k, False), _ext_masks(k)):
-                child_arcs = arcs + k - state.count(0)
+            for x in _extensions(k, False):
+                child_arcs = arcs + x.bit_count()
                 if last:
                     if child_arcs < best:
-                        break  # states are ordered densest first
+                        break  # extensions are ordered densest first
                 elif child_arcs + cap_child <= best:
                     break
                 nodes += 1
@@ -525,7 +524,7 @@ def _run_levels(
                     if p & x == p:
                         break  # x would complete a copy of F
                 else:
-                    digits = accept_child(extend_masks(masks, state), k + 1)
+                    digits = accept_child(extend_masks(masks, x), k + 1)
                     if digits is None or digits in seen:
                         continue
                     seen.add(digits)

@@ -77,7 +77,7 @@ def is_antidirected(g: OrientedGraph) -> bool:
 
 
 def find_map(
-    f: OrientedGraph, d: OrientedGraph, injective: bool, through: Optional[int] = None,
+    f: OrientedGraph, d: OrientedGraph, injective: bool,
     on_leaf: Optional[Callable[[dict[int, int]], object]] = None,
 ) -> Optional[dict[int, int]]:
     """First arc-preserving map f -> d found by backtracking, or None.
@@ -86,8 +86,6 @@ def find_map(
     Source vertices are processed by decreasing total degree (ties by index);
     assigning a vertex filters the candidate sets of its not-yet-assigned
     neighbours (arc-consistency), which stays sound for non-injective maps.
-    With through set, only maps whose image holds that target vertex count:
-    each source vertex in turn is pinned to it and branched on first.
     With on_leaf set, each complete map (one reused dict) is passed to it in
     search order, and the search stops at the first for which it returns true.
     """
@@ -95,6 +93,7 @@ def find_map(
         range(f.n),
         key=lambda u: (-(f.out[u].bit_count() + f.in_masks[u].bit_count()), u),
     )
+    position = {u: i for i, u in enumerate(order)}
     out_deg = [m.bit_count() for m in d.out]
     in_deg = [m.bit_count() for m in d.in_masks]
     cand0 = []
@@ -141,17 +140,8 @@ def find_map(
                 del assignment[u]
         return False
 
-    by_degree = order
-    for pin in (None,) if through is None else range(f.n):
-        cands = list(cand0)
-        if pin is not None:
-            # branch on the pinned vertex first so the constraint prunes everything
-            order = [pin] + [u for u in by_degree if u != pin]
-            cands[pin] &= 1 << through
-        if all(cands):
-            position = {u: i for i, u in enumerate(order)}
-            if dfs(0, cands, 0):
-                return assignment
+    if all(cand0) and dfs(0, cand0, 0):
+        return assignment
     return None
 
 

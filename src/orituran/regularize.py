@@ -20,6 +20,8 @@ from .homomorphism import VertexMap
 from .extremal import BadParamsError
 
 VERIFY_SUBSET_CAP = 10 ** 6
+EXTRACT_ATTEMPTS = 256  # random balanced partitions tried by extract_bipartite
+ZOOM_RETRIES = 1024  # sampled zooms tried by random_zoom before giving up
 
 
 class RegularizeError(Exception):
@@ -49,7 +51,7 @@ class InfeasibleConfig(RegularizeError):
 # --- bipartite extraction ------------------------------------------------------
 
 
-def extract_bipartite(g: OrientedGraph, seed: int, max_attempts: int = 256) -> BipartiteDigraph:
+def extract_bipartite(g: OrientedGraph, seed: int) -> BipartiteDigraph:
     """Balanced bipartition (X, Y) keeping only X->Y arcs, at least a quarter
     of the original arcs retained.
 
@@ -61,7 +63,7 @@ def extract_bipartite(g: OrientedGraph, seed: int, max_attempts: int = 256) -> B
     rng = random.Random(seed)
     x_size = (n + 1) // 2
     outs, ins = g.out, g.in_masks
-    for _ in range(max_attempts):
+    for _ in range(EXTRACT_ATTEMPTS):
         perm = list(range(n))
         rng.shuffle(perm)
         x_mask = 0
@@ -99,7 +101,7 @@ def extract_bipartite(g: OrientedGraph, seed: int, max_attempts: int = 256) -> B
             ]
             return BipartiteDigraph.from_arcs(part_x, part_y, arcs)
     raise AttemptsExhausted(
-        f"no balanced partition retaining {target} arcs found in {max_attempts} attempts"
+        f"no balanced partition retaining {target} arcs found in {EXTRACT_ATTEMPTS} attempts"
     )
 
 
@@ -453,7 +455,6 @@ class ZoomConfig:
     d: int
     p: float
     seed: int
-    max_retries: int = 1024
 
     @staticmethod
     def for_instance(
@@ -462,7 +463,6 @@ class ZoomConfig:
         h: int,
         seed: int,
         d: Optional[int] = None,
-        max_retries: int = 1024,
     ) -> "ZoomConfig":
         if r < 1 or h < 1:
             raise BadParamsError("zoom needs r >= 1 and h >= 1")
@@ -472,7 +472,7 @@ class ZoomConfig:
         p = _zoom_probability(nu, nw, r, h)
         if d is None:
             d = g.min_out_degree()
-        return ZoomConfig(r=r, h=h, d=d, p=p, seed=seed, max_retries=max_retries)
+        return ZoomConfig(r=r, h=h, d=d, p=p, seed=seed)
 
 
 def _zoom_probability(nu: int, nw: int, r: int, h: int) -> float:
@@ -538,7 +538,7 @@ def _random_zoom_stats(
         )
     rng = random.Random(cfg.seed)
     threshold = cfg.p * cfg.d / 2.0
-    for trial in range(cfg.max_retries):
+    for trial in range(ZOOM_RETRIES):
         w_mask = 0
         w_ids = []
         for j, w in enumerate(host.part_w):
@@ -570,7 +570,7 @@ def _random_zoom_stats(
         }
         return vm, stats
     raise RetriesExhausted(
-        f"no accepted sample in {cfg.max_retries} trials (p = {cfg.p})"
+        f"no accepted sample in {ZOOM_RETRIES} trials (p = {cfg.p})"
     )
 
 

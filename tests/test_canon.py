@@ -15,11 +15,13 @@ import pytest
 
 from orituran.canon import (
     CanonicalCode,
+    _extensions,
     accept_child,
     automorphism_order,
     canonical_code,
     enumerate_oriented_graphs,
     enumerate_tournaments,
+    extend_masks,
     is_canonical,
     is_isomorphic,
 )
@@ -214,14 +216,36 @@ def test_enumeration_double_count_identity():
     assert total == 3 ** (n * (n - 1) // 2)
 
 
-def test_enumeration_predicate_prunes_hereditarily():
-    # graphs with max total degree <= 1: closed under vertex/arc deletion
-    def sparse(g):
-        return all(g.out_degree(v) + g.in_degree(v) <= 1 for v in range(g.n))
+def _state_rule(k, tournament):
+    """The state tuples the extension ints replaced: per old vertex u, 0 none,
+    1 u->new, 2 new->u, sorted by (number of zeros, tuple)."""
+    states = itertools.product((1, 2) if tournament else (0, 1, 2), repeat=k)
+    return sorted(states, key=lambda st: (st.count(0), st))
 
-    got = list(enumerate_oriented_graphs(4, sparse))
-    # classes on 4 vertices: empty, one arc, two disjoint arcs
-    assert len(got) == 3
+
+def _extend_by_state(masks, state):
+    k = len(masks)
+    new = list(masks) + [0]
+    for u, s in enumerate(state):
+        if s == 1:
+            new[u] |= 1 << k
+        elif s == 2:
+            new[k] |= 1 << u
+    return tuple(new)
+
+
+@pytest.mark.parametrize("tournament", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_extensions_match_the_state_rule(k, tournament):
+    states = _state_rule(k, tournament)
+    xs = _extensions(k, tournament)
+    assert len(xs) == len(states)
+    # every labelled parent; the empty one alone already pins order and sides
+    parents = [g.out for g in _all_labelled(k)]
+    for state, x in zip(states, xs):
+        assert x.bit_count() == k - state.count(0)
+        for masks in parents:
+            assert extend_masks(masks, x) == _extend_by_state(masks, state), (masks, state)
 
 
 def test_tournament_counts():

@@ -128,8 +128,6 @@ def test_exo_budget_exit(capsys):
     [
         ["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"],
         ["exo", "--n", "4", "--pattern", "dpath3", "--budget", "-1"],
-        ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", "dpath3",
-         "--jobs", "0"],
     ],
 )
 def test_integer_flags_out_of_range(capsys, argv):
@@ -166,6 +164,10 @@ def test_construct_bad_params(capsys):
 def test_construct_cap(capsys):
     code, _, _ = _run(capsys, ["construct", "thm32", "--n", "100"])
     assert code == 3
+    # the cap is checked before any arc list, so a huge n exits at once
+    code, out, err = _run(capsys, ["construct", "thm32", "--n", "100000"])
+    assert code == 3
+    assert out == "" and err == "error: vertex count 100000 exceeds cap 64\n"
 
 
 def test_embed_diagnostic_and_determinism(og_dir, capsys):
@@ -268,6 +270,15 @@ def test_check_all_orientations(og_dir, capsys):
     )
     assert code == 0
     assert json.loads(out) == {"counterexample": None, "holds": True}
+
+
+def test_check_hypothesis_has_no_jobs_flag(capsys):
+    code, out, err = _run(
+        capsys,
+        ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", "dpath3", "--jobs", "2"],
+    )
+    assert code == 2
+    assert out == "" and "unrecognized arguments: --jobs 2" in err
 
 
 def test_check_missing_mode_args(capsys):

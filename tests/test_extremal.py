@@ -1,6 +1,7 @@
 """Exact extremal values: oracle vs brute force, closed forms, constructions."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -18,7 +19,7 @@ from orituran.extremal import (
     turan_edges,
     verify_against_formula,
 )
-from orituran.graphs import OrientedGraph, TooLargeError
+from orituran.graphs import OrientedGraph, TooLargeError, VertexCapError
 from orituran.homomorphism import EmptyPatternError
 
 
@@ -288,6 +289,25 @@ def test_construction_prop26_prop27():
     g27 = build_construction("prop27", 6)
     assert g27.arc_count == 9
     assert is_free(g27, PatternSpec.parse("p3plusarc").graph)
+
+
+def test_construction_caps_sizes_before_building_arcs():
+    # the arc lists of these cases would take 170-260 MB, so a cap checked too
+    # late fails on the traced peak here before n = 10^6 can exhaust memory
+    for name, n, kw in [("thm32", 3000, {}), ("starpartition", 3000, {"p": 1, "q": 2}),
+                        ("turan", 20, {"r": 2000})]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexCapError, match="exceeds cap 64"):
+                build_construction(name, n, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (name, peak)
+    for name, kw in [("thm32", {}), ("cyclepower", {"q": 3}), ("turan", {"r": 3}),
+                     ("starpartition", {"p": 1, "q": 2}), ("prop26", {}), ("prop27", {})]:
+        with pytest.raises(VertexCapError, match="vertex count 1000000 exceeds cap 64"):
+            build_construction(name, 10 ** 6, **kw)
 
 
 def test_construction_unknown_name():
