@@ -1,9 +1,13 @@
 """Bipartite extraction, degree regularization, rich sets, and zooming."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orituran.graphs import BipartiteDigraph, OrientedGraph, TooLargeError
 from orituran.extremal import BadParamsError
@@ -13,6 +17,7 @@ from orituran.regularize import (
     RichSetCertificate,
     TooSmall,
     ZoomConfig,
+    _random_zoom_stats,
     almost_regular_subdigraph,
     embed_via_rich_set,
     extract_bipartite,
@@ -24,6 +29,8 @@ from orituran.regularize import (
 )
 
 ARC = BipartiteDigraph((0,), (1,), (1,))
+ZOOM_SHA = "cb5e43fc558e9996f159ee0067a39ffaa257385a8fbc32294efbc5714fb206a0"
+PIPELINE_SHA = "343572ac34838f70fdcba963b5e3de5fcbe4f02fdf647642631e711e12484ce8"
 
 
 def _random_oriented(rng, n, density):
@@ -42,6 +49,20 @@ def _complete_bipartite(nu, nw):
     return BipartiteDigraph(
         tuple(range(nu)), tuple(range(nu, nu + nw)), ((1 << nw) - 1,) * nu
     )
+
+
+def _random_bipartite(seed, nu, nw):
+    rng = random.Random(seed)
+    return BipartiteDigraph(
+        tuple(range(nu)),
+        tuple(range(nu, nu + nw)),
+        tuple(rng.getrandbits(nw) for _ in range(nu)),
+    )
+
+
+def _sha(obj) -> str:
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _total_degrees(b):
@@ -226,6 +247,21 @@ def test_rich_set_rejects_bad_params():
         find_rich_set(host, 1, 0)
 
 
+@given(
+    st.integers(1, 40),
+    st.integers(1, 8),
+    st.integers(1, 3),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_find_rich_set_certificates_verify(nu, nw, r, h, seed):
+    host = _random_bipartite(seed, nu, nw)
+    cert = find_rich_set(host, r, h)
+    if cert is not None:
+        assert len(cert.subset) == h and set(cert.subset) <= set(host.part_w)
+        assert verify_certificate(host, cert)
+
+
 def test_verify_certificate_rejects_poor_subsets():
     host = BipartiteDigraph((0, 1), (2, 3), (3, 1))
     bogus = RichSetCertificate(subset=(2, 3), r=1, h=2, witnesses=())
@@ -343,6 +379,22 @@ def test_zoom_rejects_infeasible_configs():
         random_zoom(host, pattern3, good)  # h mismatch
 
 
+def test_zoom_bytes_are_pinned():
+    # seeded mappings plus each accepted trial's sample sizes, sha256 of canonical JSON
+    runs = []
+    for host, seeds in (
+        (_complete_bipartite(648, 45), (0, 11, 42)),
+        (_complete_bipartite(640, 40), (7,)),
+        (_random_bipartite(2024, 2000, 200), (3, 5)),
+    ):
+        for seed in seeds:
+            cfg = ZoomConfig.for_instance(host, r=1, h=2, seed=seed)
+            mapping = [list(pair) for pair in random_zoom(host, ARC, cfg).mapping]
+            _, stats = _random_zoom_stats(host, ARC, cfg)
+            runs.append([mapping, stats["retries"], stats["w_sampled"], stats["u_kept"]])
+    assert _sha(runs) == ZOOM_SHA
+
+
 # --- pipeline ----------------------------------------------------------------------
 
 
@@ -378,3 +430,13 @@ def test_pipeline_validates_pattern_shape():
     wide = BipartiteDigraph((0,), (1, 2), (3,))
     with pytest.raises(BadParamsError):
         faks_pipeline(g, wide, r=1, seed=0)
+
+
+def test_pipeline_bytes_are_pinned():
+    objs = [
+        faks_pipeline(
+            _random_oriented(random.Random(seed), 64, 0.8), ARC, r=1, seed=seed, t_override=4
+        ).to_json_obj()
+        for seed in (3, 4)
+    ]
+    assert _sha(objs) == PIPELINE_SHA
