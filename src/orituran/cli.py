@@ -20,9 +20,9 @@ from .extremal import (
     BadParamsError,
     BudgetExceededError,
     ExtremalRecord,
-    NoFormulaError,
     PatternSpec,
     build_construction,
+    check_order,
     oracle_exo,
     verify_against_formula,
 )
@@ -89,14 +89,15 @@ def _bipartite_from_oriented(g: OrientedGraph) -> BipartiteDigraph:
     return BipartiteDigraph.from_arcs(sources, sinks, list(g.arcs()))
 
 
-def _parse_n_range(text: str) -> list[int]:
+def _parse_n_range(text: str) -> range:
     if ".." in text:
         lo_s, _, hi_s = text.partition("..")
         lo, hi = int(lo_s), int(hi_s)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+        return range(lo, hi + 1)
+    n = int(text)
+    return range(n, n + 1)
 
 
 # --- subcommand bodies --------------------------------------------------------
@@ -133,6 +134,9 @@ def _record_row(rec: ExtremalRecord) -> dict:
 def _cmd_exo(args) -> int:
     spec = _load_pattern(args)
     ns = _parse_n_range(args.n)
+    # both ends pass only if every order between them does
+    check_order(ns[0], args.budget)
+    check_order(ns[-1], args.budget)
     if args.verify_formula:
         report = verify_against_formula(spec, ns, budget=args.budget, jobs=args.jobs)
         if args.json:
@@ -212,9 +216,8 @@ def _int_at_least(low: int):
     return parse
 
 
-def _add_pattern_args(sub, file_only: bool = False) -> None:
-    if not file_only:
-        sub.add_argument("--pattern", help="named pattern token, e.g. dpath4 or star:1,2")
+def _add_pattern_args(sub) -> None:
+    sub.add_argument("--pattern", help="named pattern token, e.g. dpath4 or star:1,2")
     sub.add_argument("--pattern-file", help="custom pattern as an .og file")
 
 

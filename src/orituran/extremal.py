@@ -18,7 +18,6 @@ from typing import Iterable, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
-    CanonicalCode,
     _extensions,
     accept_child,
     canonical_code,
@@ -539,6 +538,19 @@ def _run_levels(
     return best, best_digits, nodes, False, level
 
 
+def check_order(n: int, budget: Optional[int]) -> None:
+    """Raise unless oracle_exo can run at order n with this node budget."""
+    if n < 1:
+        raise BadParamsError("oracle needs n >= 1")
+    if n > MAX_CODE_VERTICES:
+        raise TooLargeError(f"oracle capped at {MAX_CODE_VERTICES} vertices, got {n}")
+    if n > MAX_EXACT_VERTICES and budget is None:
+        raise TooLargeError(
+            f"n = {n} exceeds the exhaustive cap {MAX_EXACT_VERTICES}; pass a node budget "
+            "to search for certified lower bounds"
+        )
+
+
 def oracle_exo(
     n: int,
     pattern: "PatternSpec | OrientedGraph",
@@ -559,15 +571,7 @@ def oracle_exo(
     f = spec.graph
     if f.arc_count == 0:
         raise EmptyPatternError("oracle needs a pattern with at least one arc")
-    if n < 1:
-        raise BadParamsError("oracle needs n >= 1")
-    if n > MAX_CODE_VERTICES:
-        raise TooLargeError(f"oracle capped at {MAX_CODE_VERTICES} vertices, got {n}")
-    if n > MAX_EXACT_VERTICES and budget is None:
-        raise TooLargeError(
-            f"n = {n} exceeds the exhaustive cap {MAX_EXACT_VERTICES}; pass a node budget "
-            "to search for certified lower bounds"
-        )
+    check_order(n, budget)
     if f.n > n:
         # the pattern cannot fit, so the complete transitive order is free
         witness = OrientedGraph.from_arcs(

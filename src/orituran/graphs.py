@@ -15,10 +15,10 @@ same format with a literal "undirected" line before n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -130,14 +130,6 @@ class OrientedGraph:
                 yield (u, v)
                 m &= m - 1
 
-    def add_arc(self, u: int, v: int) -> "OrientedGraph":
-        """New graph with arc u->v added (validation via the constructor)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise InvariantError(f"arc ({u},{v}) out of range for n={self.n}")
-        out = list(self.out)
-        out[u] |= 1 << v
-        return OrientedGraph(self.n, tuple(out))
-
     def out_degree(self, u: int) -> int:
         return self.out[u].bit_count()
 
@@ -214,7 +206,9 @@ class BipartiteDigraph:
     out_masks: tuple[int, ...]
 
     def __post_init__(self):
-        if len(set(self.part_u) | set(self.part_w)) != len(self.part_u) + len(self.part_w):
+        ids = set(self.part_u)
+        ids.update(self.part_w)
+        if len(ids) != len(self.part_u) + len(self.part_w):
             raise InvariantError("parts overlap or contain duplicates")
         if len(self.out_masks) != len(self.part_u):
             raise InvariantError("out_masks length does not match part_u")
@@ -270,22 +264,6 @@ class BipartiteDigraph:
                 yield (u, self.part_w[j])
                 m &= m - 1
 
-    def out_neighbors(self, i: int) -> list[int]:
-        """Ids of out-neighbours of part_u[i], ascending by part_w index."""
-        res = []
-        m = self.out_masks[i]
-        while m:
-            j = (m & -m).bit_length() - 1
-            res.append(self.part_w[j])
-            m &= m - 1
-        return res
-
-    def degree_of(self, side: str, idx: int) -> int:
-        # in a one-directional bipartite digraph total degree = out for U, in for W
-        if side == "u":
-            return self.out_masks[idx].bit_count()
-        return self.in_masks[idx].bit_count()
-
     def min_out_degree(self) -> int:
         return min((m.bit_count() for m in self.out_masks), default=0)
 
@@ -302,7 +280,6 @@ class BipartiteDigraph:
         """Sub-instance on the given ids (arcs between them only)."""
         w_pos = {w: j for j, w in enumerate(self.part_w)}
         keep_w = [w_pos[w] for w in w_ids]
-        u_pos = {u: i for i, u in enumerate(self.part_u)}
         if not keep_w:
             return BipartiteDigraph(tuple(u_ids), (), (0,) * len(u_ids))
         # column j of a row's binary text sits at index w - 1 - j; pick the
@@ -310,9 +287,8 @@ class BipartiteDigraph:
         w = len(self.part_w)
         pick = itemgetter(*[w - 1 - j for j in reversed(keep_w)])
         fmt = f"0{w}b"
-        masks = tuple(
-            int("".join(pick(format(self.out_masks[u_pos[u]], fmt))), 2) for u in u_ids
-        )
+        mask_of = dict(zip(self.part_u, self.out_masks))
+        masks = tuple(int("".join(pick(format(mask_of[u], fmt))), 2) for u in u_ids)
         return BipartiteDigraph(tuple(u_ids), tuple(w_ids), masks)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
-from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError
+from .graphs import GraphError, OrientedGraph, TooLargeError
 
 
 class EmptyPatternError(GraphError):

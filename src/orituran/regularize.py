@@ -203,9 +203,17 @@ def almost_regular_subdigraph(
             buckets.append(order[start:start + size])
             start += size
         top = set(buckets[0])
-        inside = sum(
-            1 for u, w in level.arcs() if u in top and w in top
-        )
+        # pair_counts[0] counts the arcs inside the top bucket, pair_counts[i]
+        # those between it and bucket i
+        bucket_of = {v: i for i, bucket in enumerate(buckets) for v in bucket}
+        pair_counts = [0] * (2 * t)
+        for u, w in level.arcs():
+            bu, bw = bucket_of[u], bucket_of[w]
+            if bu == 0:
+                pair_counts[bw] += 1
+            elif bw == 0:
+                pair_counts[bu] += 1
+        inside = pair_counts[0]
         touching = sum(degs[v] for v in top) - inside
         if 2 * touching <= e_level:
             d0 = (c_level / 40.0) * (n_level ** eps)
@@ -245,15 +253,6 @@ def almost_regular_subdigraph(
                 K1=k1,
                 K2=k2,
             )
-        pair_counts = [0]
-        for i in range(1, 2 * t):
-            among = set(buckets[i])
-            cnt = sum(
-                1
-                for u, w in level.arcs()
-                if (u in top and w in among) or (u in among and w in top)
-            )
-            pair_counts.append(cnt)
         best_i = max(range(1, 2 * t), key=lambda i: (pair_counts[i], -i))
         keep = top | set(buckets[best_i])
         if len(keep) >= n_level:
@@ -269,16 +268,12 @@ def almost_regular_subdigraph(
 
 @dataclass(frozen=True)
 class RichSetCertificate:
-    """Subset R of the W side where every r-subset has >= h common in-neighbors.
-
-    witnesses holds (r-subset, common in-neighbors) pairs for every r-subset
-    when C(|R|, r) is at most 10^6, else it is left empty.
-    """
+    """Subset R of the W side where every r-subset has >= h common in-neighbors;
+    verify_certificate checks the claim."""
 
     subset: tuple[int, ...]
     r: int
     h: int
-    witnesses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertificate]:
@@ -290,7 +285,8 @@ def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertif
     assignable subset can never become assignable later, so its first h
     out-neighbors form the rich set.  Returns None when every vertex gets a
     color (possible at the exact saturation threshold) or when the stuck
-    vertex has fewer than h out-neighbors.
+    vertex has fewer than h out-neighbors.  The certificate is checked with
+    verify_certificate before it is returned, when C(h, r) is at most 10^6.
     """
     if r < 1 or h < 1:
         raise BadParamsError("find_rich_set needs r >= 1 and h >= 1")
@@ -314,28 +310,10 @@ def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertif
             continue
         if len(neigh) < h:
             return None
-        subset_idx = neigh[:h]
-        subset = tuple(g.part_w[j] for j in subset_idx)
-        witnesses = []
-        if math.comb(h, r) <= VERIFY_SUBSET_CAP:
-            for combo in itertools.combinations(subset_idx, r):
-                common = ~0
-                for j in combo:
-                    common &= g.in_masks[j]
-                ids = []
-                m = common & ((1 << len(g.part_u)) - 1)
-                while m:
-                    i2 = (m & -m).bit_length() - 1
-                    ids.append(g.part_u[i2])
-                    m &= m - 1
-                if len(ids) < h:
-                    raise InvariantError(
-                        "rich-set certificate failed verification; coloring bug"
-                    )
-                witnesses.append((tuple(g.part_w[j] for j in combo), tuple(ids)))
-        return RichSetCertificate(
-            subset=subset, r=r, h=h, witnesses=tuple(witnesses)
-        )
+        cert = RichSetCertificate(subset=tuple(g.part_w[j] for j in neigh[:h]), r=r, h=h)
+        if math.comb(h, r) <= VERIFY_SUBSET_CAP and not verify_certificate(g, cert):
+            raise InvariantError("rich-set certificate failed verification; coloring bug")
+        return cert
     return None
 
 
@@ -447,13 +425,13 @@ def verify_bipartite_embedding(
 
 @dataclass(frozen=True)
 class ZoomConfig:
-    """Zoom parameters; p follows the sampling rule for the (possibly
-    truncated) U side and is exactly 1 at the truncation cap."""
+    """Zoom parameters: pattern out-degree bound r, pattern size h, host
+    minimum out-degree d and the sampling seed.  The sampling probability p
+    follows from the host and is derived by the zoom itself."""
 
     r: int
     h: int
     d: int
-    p: float
     seed: int
 
     @staticmethod
@@ -469,19 +447,9 @@ class ZoomConfig:
         nu, nw = len(g.part_u), len(g.part_w)
         if nu == 0 or nw == 0:
             raise InfeasibleConfig("zoom host has an empty part")
-        p = _zoom_probability(nu, nw, r, h)
         if d is None:
             d = g.min_out_degree()
-        return ZoomConfig(r=r, h=h, d=d, p=p, seed=seed)
-
-
-def _zoom_probability(nu: int, nw: int, r: int, h: int) -> float:
-    cap = 4 * h * (2 * nw) ** r
-    u_eff = min(nu, cap)
-    if u_eff == cap:
-        return 1.0
-    p = (1.0 / (2 * nw)) * (u_eff / (4.0 * h)) ** (1.0 / r)
-    return min(p, 1.0)
+        return ZoomConfig(r=r, h=h, d=d, seed=seed)
 
 
 def random_zoom(
@@ -513,20 +481,21 @@ def _random_zoom_stats(
     nu, nw = len(g.part_u), len(g.part_w)
     if nu == 0 or nw == 0:
         raise InfeasibleConfig("zoom host has an empty part")
-    expected_p = _zoom_probability(nu, nw, cfg.r, cfg.h)
-    if abs(cfg.p - expected_p) > 1e-9:
-        raise InfeasibleConfig(
-            f"config p = {cfg.p} but the sampling rule gives {expected_p}"
-        )
+    # U beyond the truncation cap is dropped, and p is exactly 1 at the cap
+    cap = 4 * cfg.h * (2 * nw) ** cfg.r
+    if nu >= cap:
+        p = 1.0
+    else:
+        p = min((1.0 / (2 * nw)) * (nu / (4.0 * cfg.h)) ** (1.0 / cfg.r), 1.0)
     if cfg.d < max(40, 2 * cfg.h):
         raise InfeasibleConfig(
             f"min out-degree d = {cfg.d} below the threshold {max(40, 2 * cfg.h)}"
         )
-    if cfg.p * cfg.d / 2.0 < max(20, cfg.h):
+    threshold = p * cfg.d / 2.0
+    if threshold < max(20, cfg.h):
         raise InfeasibleConfig(
-            f"p*d/2 = {cfg.p * cfg.d / 2.0} below the threshold {max(20, cfg.h)}"
+            f"p*d/2 = {threshold} below the threshold {max(20, cfg.h)}"
         )
-    cap = 4 * cfg.h * (2 * nw) ** cfg.r
     if nu > cap:
         host = g.restrict(list(g.part_u[:cap]), list(g.part_w))
     else:
@@ -537,15 +506,14 @@ def _random_zoom_stats(
             f"host min out-degree {host.min_out_degree()} below config d = {cfg.d}"
         )
     rng = random.Random(cfg.seed)
-    threshold = cfg.p * cfg.d / 2.0
     for trial in range(ZOOM_RETRIES):
         w_mask = 0
         w_ids = []
         for j, w in enumerate(host.part_w):
-            if rng.random() < cfg.p:
+            if rng.random() < p:
                 w_mask |= 1 << j
                 w_ids.append(w)
-        if len(w_ids) > 2.0 * cfg.p * nw:
+        if len(w_ids) > 2.0 * p * nw:
             continue
         u_ids = [
             u
@@ -562,6 +530,7 @@ def _random_zoom_stats(
         if not verify_bipartite_embedding(g, pattern, vm):
             raise InvariantError("zoom produced an embedding that failed verification")
         stats = {
+            "p": p,
             "retries": trial + 1,
             "w_size_ok": True,
             "u_size_ok": True,
@@ -570,7 +539,7 @@ def _random_zoom_stats(
         }
         return vm, stats
     raise RetriesExhausted(
-        f"no accepted sample in {ZOOM_RETRIES} trials (p = {cfg.p})"
+        f"no accepted sample in {ZOOM_RETRIES} trials (p = {p})"
     )
 
 
@@ -612,7 +581,9 @@ def faks_pipeline(
     Measures the density constant c = 4|E(B)|/n^(1+eps) after extraction, the
     scaling constants K1 and K2 after refinement, and the threshold constant
     the embedding theorem would require; each stage reports its numbers and a
-    failed hypothesis stops the run with that stage's label.
+    failed hypothesis stops the run with that stage's label.  The zoom stage
+    reports the sampling probability p it derived, and the embedding is the
+    one the zoom has already verified against the refined subgraph.
     """
     if r < 1:
         raise BadParamsError("pipeline needs r >= 1")
@@ -693,7 +664,6 @@ def faks_pipeline(
             "zoom",
             {
                 "d": cfg.d,
-                "p": cfg.p,
                 "h": h_count,
                 "r": r,
                 "seed": cfg.seed,
@@ -701,6 +671,4 @@ def faks_pipeline(
             },
         )
     )
-    if not verify_bipartite_embedding(sub, pattern, vm):
-        raise InvariantError("pipeline embedding failed independent verification")
     return PipelineResult(vm, tuple(stages), None)

@@ -4,11 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import orituran
+from orituran import cli, extremal
 from orituran.cli import main
 from orituran.graphs import decode
 
@@ -139,6 +142,34 @@ def test_integer_flags_out_of_range(capsys, argv):
 def test_exo_cap_exit(capsys):
     code, _, _ = _run(capsys, ["exo", "--n", "11", "--pattern", "dpath3"])
     assert code == 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-formula"]])
+def test_exo_huge_range_is_refused_at_once(capsys, extra):
+    argv = ["exo", "--pattern", "dpath3", "--n", "1..1000000000", *extra]
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, _ = _run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == ""
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("extra", [[], ["--verify-formula"]])
+def test_exo_range_checks_its_ends_before_the_oracle(capsys, monkeypatch, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(cli, "oracle_exo", refuse)
+    monkeypatch.setattr(extremal, "oracle_exo", refuse)
+    code, out, err = _run(capsys, ["exo", "--pattern", "dpath3", "--n", "5..8", *extra])
+    assert code == 3 and out == "" and "exhaustive cap 7" in err
+    code, _, err = _run(capsys, ["exo", "--pattern", "dpath3", "--n", "0..3", *extra])
+    assert code == 2 and "n >= 1" in err
 
 
 def test_construct_og_output(capsys):

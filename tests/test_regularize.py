@@ -221,7 +221,6 @@ def test_rich_set_threshold_r2():
     assert cert is not None
     assert len(cert.subset) == 3
     assert verify_certificate(host, cert)
-    assert len(cert.witnesses) == 3  # all r-subsets stored at this size
     sat = _complete_bipartite(9, 3)
     assert find_rich_set(sat, 2, 3) is None
 
@@ -264,14 +263,14 @@ def test_find_rich_set_certificates_verify(nu, nw, r, h, seed):
 
 def test_verify_certificate_rejects_poor_subsets():
     host = BipartiteDigraph((0, 1), (2, 3), (3, 1))
-    bogus = RichSetCertificate(subset=(2, 3), r=1, h=2, witnesses=())
+    bogus = RichSetCertificate(subset=(2, 3), r=1, h=2)
     assert not verify_certificate(host, bogus)
 
 
 def test_verify_certificate_refuses_unchecked_sizes():
     # C(40, 6) = 3,838,380 subsets is over the cap: no silent pass
     host = _complete_bipartite(2, 40)
-    cert = RichSetCertificate(subset=tuple(range(2, 42)), r=6, h=2, witnesses=())
+    cert = RichSetCertificate(subset=tuple(range(2, 42)), r=6, h=2)
     with pytest.raises(TooLargeError):
         verify_certificate(host, cert)
 
@@ -281,7 +280,7 @@ def test_verify_certificate_refuses_unchecked_sizes():
 
 def test_embed_single_arc():
     host = _complete_bipartite(2, 2)
-    cert = RichSetCertificate(subset=(2, 3), r=1, h=2, witnesses=())
+    cert = RichSetCertificate(subset=(2, 3), r=1, h=2)
     assert verify_certificate(host, cert)
     vm = embed_via_rich_set(host, ARC, cert)
     assert verify_bipartite_embedding(host, ARC, vm)
@@ -290,7 +289,7 @@ def test_embed_single_arc():
 def test_embed_out_star():
     host = _complete_bipartite(3, 3)
     pattern = BipartiteDigraph((0,), (1, 2), (3,))
-    cert = RichSetCertificate(subset=(3, 4, 5), r=2, h=3, witnesses=())
+    cert = RichSetCertificate(subset=(3, 4, 5), r=2, h=3)
     vm = embed_via_rich_set(host, pattern, cert)
     assert verify_bipartite_embedding(host, pattern, vm)
     mapped = vm.as_dict()
@@ -300,18 +299,18 @@ def test_embed_out_star():
 def test_embed_detects_invalid_certificate():
     host = BipartiteDigraph((0,), (1, 2), (1,))
     pattern = BipartiteDigraph((0,), (1, 2), (3,))
-    bogus = RichSetCertificate(subset=(1, 2), r=2, h=3, witnesses=())
+    bogus = RichSetCertificate(subset=(1, 2), r=2, h=3)
     with pytest.raises(CertificateInsufficient):
         embed_via_rich_set(host, pattern, bogus)
 
 
 def test_embed_validates_shapes():
     host = _complete_bipartite(3, 3)
-    cert = RichSetCertificate(subset=(3, 4, 5), r=2, h=3, witnesses=())
+    cert = RichSetCertificate(subset=(3, 4, 5), r=2, h=3)
     with pytest.raises(BadParamsError):
         embed_via_rich_set(host, ARC, cert)  # pattern size != h
     wide = BipartiteDigraph((0,), (1, 2, 3), (7,))
-    widecert = RichSetCertificate(subset=(3, 4, 5), r=2, h=4, witnesses=())
+    widecert = RichSetCertificate(subset=(3, 4, 5), r=2, h=4)
     with pytest.raises(BadParamsError):
         embed_via_rich_set(host, wide, widecert)  # out-degree 3 > r
 
@@ -330,10 +329,11 @@ def test_verify_bipartite_embedding_rejects_noninjective():
 def test_zoom_config_probability_rule():
     host = _complete_bipartite(648, 45)
     cfg = ZoomConfig.for_instance(host, r=1, h=2, seed=0)
-    assert cfg.p == pytest.approx(0.9, abs=1e-12)
+    assert _random_zoom_stats(host, ARC, cfg)[1]["p"] == pytest.approx(0.9, abs=1e-12)
     assert cfg.d == 45
     at_cap = _complete_bipartite(4 * 2 * 80, 40)
-    assert ZoomConfig.for_instance(at_cap, r=1, h=2, seed=0).p == 1.0
+    cfg = ZoomConfig.for_instance(at_cap, r=1, h=2, seed=0)
+    assert _random_zoom_stats(at_cap, ARC, cfg)[1]["p"] == 1.0
 
 
 def test_zoom_finds_verified_embedding():
@@ -352,16 +352,16 @@ def test_zoom_seeded_reproducibility():
 def test_zoom_p_equal_one_keeps_whole_w_side():
     host = _complete_bipartite(640, 40)
     cfg = ZoomConfig.for_instance(host, r=1, h=2, seed=7)
-    assert cfg.p == 1.0
-    vm = random_zoom(host, ARC, cfg)
+    vm, stats = _random_zoom_stats(host, ARC, cfg)
+    assert stats["p"] == 1.0 and stats["w_sampled"] == 40
     assert verify_bipartite_embedding(host, ARC, vm)
 
 
 def test_zoom_truncates_oversized_u():
     big = _complete_bipartite(800, 40)  # cap for r=1, h=2 is 640
     cfg = ZoomConfig.for_instance(big, r=1, h=2, seed=3)
-    assert cfg.p == 1.0
-    vm = random_zoom(big, ARC, cfg)
+    vm, stats = _random_zoom_stats(big, ARC, cfg)
+    assert stats["p"] == 1.0
     assert verify_bipartite_embedding(big, ARC, vm)
     assert all(t < 640 for s, t in vm.mapping if s == 0)  # image stays in the prefix
 
@@ -369,11 +369,9 @@ def test_zoom_truncates_oversized_u():
 def test_zoom_rejects_infeasible_configs():
     small = _complete_bipartite(2, 2)
     with pytest.raises(InfeasibleConfig):
-        random_zoom(small, ARC, ZoomConfig(r=1, h=2, d=2, p=0.5, seed=1))
+        random_zoom(small, ARC, ZoomConfig(r=1, h=2, d=2, seed=1))
     host = _complete_bipartite(648, 45)
     good = ZoomConfig.for_instance(host, r=1, h=2, seed=1)
-    with pytest.raises(InfeasibleConfig):
-        random_zoom(host, ARC, ZoomConfig(r=1, h=2, d=good.d, p=0.1, seed=1))
     pattern3 = BipartiteDigraph((0,), (1, 2), (3,))
     with pytest.raises(InfeasibleConfig):
         random_zoom(host, pattern3, good)  # h mismatch
