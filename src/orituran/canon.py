@@ -15,29 +15,47 @@ digit 0, 1 and 2 against v, in that order, and row k lists those digits cell
 by cell.  Only members of the first cell can take position k, and of those
 only the ones whose row k is smallest branch.  Undetermined rows are zeros,
 and zeros minorize every completion, so a partial code that is already >= the
-best known full code is cut.  The search is seeded with the identity
-labelling's digits and cuts on equality, which keeps symmetric inputs cheap.
+best known full code is cut.  Once every cell is a singleton the rest of the
+labelling is forced, and its rows are written out without branching.  The
+search is seeded with the identity labelling's digits and cuts on equality,
+which keeps symmetric inputs cheap.
 For canonical deletion the search can pin one vertex to the last position: it
 stays out of the cells and its digit ends every row.
 
-Enumeration extends canonical (k-1)-vertex representatives by one vertex.  Each
-way to join it is one int x_out | x_in << k (the new vertex's out- and
-in-neighbours), listed densest first; the exo oracle walks the same list.  A
-child is kept iff the new vertex is a canonical-deletion vertex: some
-minimum-code labelling of the child puts it in the last position.  Children of
-one parent that pass are deduplicated by code (two extension patterns can be
-automorphic images of each other).  Every class is then produced exactly once:
-deleting a last-position vertex of a minimal labelling determines the parent
-class, so no class arises under two parents.  The simpler rule "keep iff the
-child is its own canonical form" is NOT exact for this code order (restriction
-of a canonical labelling is not always canonical; first failures at n = 5).
+Enumeration extends one representative per (k-1)-vertex class by one vertex
+(McKay's canonical augmentation).  Each way to join the new vertex is one int
+x_out | x_in << k (its out- and in-neighbours), listed densest first; the exo
+oracle walks the same list.  A child is kept only if its new vertex x lies in
+the orbit of a deletion vertex chosen from the child's isomorphism class
+alone.  Every vertex gets the invariant (degree, out-degree, sum of its
+out-neighbours' out-degrees), and the deletion orbit is, among the vertices
+with the largest invariant, the one whose pinned-last code is smallest; two
+vertices share an orbit exactly when their pinned-last codes are equal.  So a
+child whose x lacks the largest invariant is rejected with no search (most
+are); otherwise one pinned search gives x's pinned-last code, and a stop-early
+probe seeded with it, pinning each other top-invariant vertex, rejects the
+child if it finds a smaller one.  The pinned-last digits of (child, x) are a
+complete invariant of the pair: they deduplicate siblings (two extension
+patterns can be automorphic images of each other) and, read back as masks,
+give the child's representative for the next level.  Every class is then
+produced exactly once, because the deletion orbit fixes the parent class.
+The largest invariant is used rather than the smallest because the exo
+oracle's output then moves less against the rule it replaced (keep x iff
+some minimum-code labelling puts it last): on the nineteen cases of
+test_oracle_frozen_values the largest changed one witness and no node
+count, the smallest changed eight witnesses, and also prop23m's node count
+at n = 5.
+
+Intermediate levels therefore carry pinned-last representatives, and the
+final level is emitted as canonical forms sorted by canonical digits, an
+order that does not depend on how classes are generated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graphs import InvariantError, OrientedGraph, TooLargeError
 
@@ -62,15 +80,7 @@ def _identity_digits(out: tuple[int, ...], n: int) -> bytearray:
     return d
 
 
-def _search(
-    out: tuple[int, ...], n: int, best: bytearray, pin: Optional[int], stop_early: bool
-) -> bool:
-    """Lower best in place to the minimum code; True iff something beat the seed.
-
-    With pin set, only labellings that put vertex pin last are searched.
-    stop_early returns as soon as an improvement is certain, leaving best
-    unspecified (enough for canonicity tests).
-    """
+def _in_masks(out: tuple[int, ...], n: int) -> list[int]:
     ins = [0] * n
     for u in range(n):
         m = out[u]
@@ -78,17 +88,46 @@ def _search(
             low = m & -m
             ins[low.bit_length() - 1] |= 1 << u
             m ^= low
+    return ins
+
+
+def _search(
+    out: tuple[int, ...],
+    ins: Sequence[int],
+    n: int,
+    best: bytearray,
+    pin: Optional[int],
+    stop_early: bool,
+) -> bool:
+    """Lower best in place to the minimum code; True iff something beat the seed.
+
+    ins holds the in-masks of out.  With pin set, only labellings that put
+    vertex pin last are searched.  stop_early returns as soon as an
+    improvement is certain, leaving best unspecified (enough for canonicity
+    tests).
+    """
     pin_bit = 0 if pin is None else 1 << pin
     zeros, ones, twos = _RUNS
     cur = bytearray(len(best))
     improved = False
 
-    def dfs(cells: list[int], off: int) -> None:
+    def dfs(cells: list[int], off: int, left: int) -> None:
         nonlocal improved
-        if not cells:
+        if len(cells) == left:
+            # one cell per unplaced vertex: the rest of the labelling is forced
+            order = [c.bit_length() - 1 for c in cells]
+            tail = bytearray()
+            for i, v in enumerate(order):
+                ov, iv = out[v], ins[v]
+                for w in order[i + 1:]:
+                    tail.append((ov >> w & 1) | (iv >> w & 1) << 1)
+                if pin_bit:
+                    tail.append((ov & pin_bit != 0) | (iv & pin_bit != 0) << 1)
+            cur[off:] = tail
             if cur < best:
                 best[:] = cur
                 improved = True
+            cur[off:] = bytes(len(tail))
             return
         first, rest = cells[0], cells[1:]
         # Rank the first cell's vertices by the row each would fix.  A cell's
@@ -143,31 +182,50 @@ def _search(
             # zeros in the rows below minorize every completion
             if not cur < best or (improved and stop_early):
                 break
-            dfs(split, end)
+            dfs(split, end, left - 1)
         cur[off:end] = bytes(len(row))
 
     start = ((1 << n) - 1) & ~pin_bit
-    dfs([start] if start else [], 0)
+    dfs([start] if start else [], 0, start.bit_count())
     return improved
 
 
 def _min_digits(out: tuple[int, ...], n: int) -> bytes:
     best = _identity_digits(out, n)
-    _search(out, n, best, None, stop_early=False)
+    _search(out, _in_masks(out, n), n, best, None, stop_early=False)
     return bytes(best)
 
 
 def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
-    """Canonical-deletion acceptance for a child whose new vertex is n-1.
+    """Canonical-augmentation acceptance for a child whose new vertex is n-1.
 
-    Returns the child's canonical digits when the new vertex can occupy the
-    last position of a minimum-code labelling, else None.
+    Returns the child's pinned-last digits (the minimum code over labellings
+    that put n-1 last) when n-1 lies in the child's deletion orbit, else None.
     """
-    best = _identity_digits(out, n)
-    _search(out, n, best, n - 1, stop_early=False)
-    probe = bytearray(best)
-    if _search(out, n, probe, None, stop_early=True):
+    x = n - 1
+    ins = _in_masks(out, n)
+    degs = [m.bit_count() for m in out]
+    # the invariant (degree, out-degree, out-neighbours' out-degrees) packed in
+    # 4, 4 and 7 bits as n <= 10; its first two parts alone reject most children
+    inv = [((o | i).bit_count() << 4 | d) << 7 for o, i, d in zip(out, ins, degs)]
+    top = inv[x]
+    if max(inv) > top:
         return None
+    for v in range(n):
+        if inv[v] == top:
+            m = out[v]
+            while m:
+                low = m & -m
+                inv[v] += degs[low.bit_length() - 1]
+                m ^= low
+    top = inv[x]
+    if max(inv) > top:
+        return None
+    best = _identity_digits(out, n)
+    _search(out, ins, n, best, x, stop_early=False)
+    for w in range(x):
+        if inv[w] == top and _search(out, ins, n, bytearray(best), w, stop_early=True):
+            return None
     return bytes(best)
 
 
@@ -238,7 +296,8 @@ def is_canonical(g: OrientedGraph) -> bool:
     """True iff g's own labelling already attains its canonical code."""
     if g.n > MAX_CODE_VERTICES:
         raise TooLargeError(f"canonical code capped at {MAX_CODE_VERTICES} vertices, got {g.n}")
-    return not _search(g.out, g.n, _identity_digits(g.out, g.n), None, stop_early=True)
+    best = _identity_digits(g.out, g.n)
+    return not _search(g.out, g.in_masks, g.n, best, None, stop_early=True)
 
 
 def is_isomorphic(a: OrientedGraph, b: OrientedGraph) -> bool:
@@ -309,9 +368,10 @@ def extend_masks(masks: tuple[int, ...], x: int) -> tuple[int, ...]:
 def canonical_children(
     masks: tuple[int, ...], k: int, tournament: bool = False
 ) -> Iterator[tuple[tuple[int, ...], bytes]]:
-    """(canonical masks, digits) for each new class obtained by one extension.
+    """(representative masks, pinned-last digits) for each new class obtained
+    by one extension of the k-vertex parent masks.
 
-    The parent must be a canonical representative on k vertices; children are
+    The parent may be any representative of its class; children are
     deduplicated within the parent (automorphic extension patterns collide).
     """
     seen: set[bytes] = set()
@@ -324,8 +384,15 @@ def canonical_children(
         yield masks_from_digits(code, k + 1), code
 
 
+def _sorted_canonical(level: list[tuple[int, ...]], n: int) -> list[OrientedGraph]:
+    """Canonical forms of one representative per class, sorted by canonical digits."""
+    codes = sorted(_min_digits(masks, n) for masks in level)
+    return [OrientedGraph(n, masks_from_digits(d, n)) for d in codes]
+
+
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
-    """Stream one canonical representative per isomorphism class on n vertices."""
+    """One canonical form per isomorphism class on n vertices, sorted by
+    canonical digits."""
     if n < 1:
         raise InvariantError("enumeration needs n >= 1")
     if n > MAX_ENUM_VERTICES:
@@ -333,26 +400,24 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     level: list[tuple[int, ...]] = [(0,)]
     for k in range(1, n):
         level = [child for masks in level for child, _ in canonical_children(masks, k)]
-    for masks in level:
-        yield OrientedGraph(n, masks)
+    yield from _sorted_canonical(level, n)
 
 
 _TOURNAMENT_CACHE: dict[int, list[OrientedGraph]] = {}
 
 
 def enumerate_tournaments(k: int) -> list[OrientedGraph]:
-    """All tournaments on k vertices up to isomorphism, canonical forms, cached."""
+    """All tournaments on k vertices up to isomorphism: canonical forms sorted
+    by canonical digits, cached per k."""
     if k < 1:
         raise InvariantError("tournament enumeration needs k >= 1")
     if k > MAX_ENUM_VERTICES:
         raise TooLargeError(f"tournament enumeration capped at {MAX_ENUM_VERTICES}, got {k}")
-    if k in _TOURNAMENT_CACHE:
-        return list(_TOURNAMENT_CACHE[k])
-    _TOURNAMENT_CACHE.setdefault(1, [OrientedGraph(1, (0,))])
-    level = [g.out for g in _TOURNAMENT_CACHE[max(m for m in _TOURNAMENT_CACHE if m <= k)]]
-    start = max(m for m in _TOURNAMENT_CACHE if m <= k)
-    for m in range(start, k):
-        nxt = [child for masks in level for child, _ in canonical_children(masks, m, True)]
-        level = nxt
-        _TOURNAMENT_CACHE[m + 1] = [OrientedGraph(m + 1, masks) for masks in level]
+    if k not in _TOURNAMENT_CACHE:
+        _TOURNAMENT_CACHE.setdefault(1, [OrientedGraph(1, (0,))])
+        start = max(m for m in _TOURNAMENT_CACHE if m <= k)
+        level = [g.out for g in _TOURNAMENT_CACHE[start]]
+        for m in range(start, k):
+            level = [child for masks in level for child, _ in canonical_children(masks, m, True)]
+            _TOURNAMENT_CACHE[m + 1] = _sorted_canonical(level, m + 1)
     return list(_TOURNAMENT_CACHE[k])

@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     p.add_argument("--r", type=int, required=True, help="pattern out-degree bound")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--t-override", type=int, default=None, dest="t_override")
+    p.add_argument("--t-override", type=_int_at_least(1), default=None, dest="t_override")
     p.set_defaults(func=_cmd_embed)
 
     p = subs.add_parser("check-hypothesis", help="universal containment sweeps")

@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 from .canon import (
     MAX_CODE_VERTICES,
     _extensions,
+    _min_digits,
     accept_child,
     canonical_code,
     extend_masks,
@@ -61,7 +62,8 @@ class PatternSpec:
 
     kind is one of dpath, dcycle, ttour, star, matching, adpath, oc4, prop23,
     prop23m, p3plusarc, thm32, custom.  Tokens render as dpath3, star:1,2,
-    oc4, ...; c3 is accepted as an alias for dcycle3.
+    oc4, ...; c3 is accepted as an alias for dcycle3.  Each factory checks its
+    vertex count against the graph cap before it builds any arc list.
     """
 
     kind: str
@@ -80,6 +82,7 @@ class PatternSpec:
     def directed_path(k: int) -> "PatternSpec":
         if k < 2:
             raise BadParamsError("a directed path needs at least 2 vertices")
+        _check_vertex_count(k)
         g = OrientedGraph.from_arcs(k, [(i, i + 1) for i in range(k - 1)])
         return PatternSpec("dpath", (k,), g)
 
@@ -87,6 +90,7 @@ class PatternSpec:
     def directed_cycle(k: int) -> "PatternSpec":
         if k < 3:
             raise BadParamsError("a directed cycle needs at least 3 vertices")
+        _check_vertex_count(k)
         g = OrientedGraph.from_arcs(k, [(i, (i + 1) % k) for i in range(k)])
         return PatternSpec("dcycle", (k,), g)
 
@@ -94,6 +98,7 @@ class PatternSpec:
     def transitive_tournament(k: int) -> "PatternSpec":
         if k < 2:
             raise BadParamsError("a transitive tournament pattern needs at least 2 vertices")
+        _check_vertex_count(k)
         g = OrientedGraph.from_arcs(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
         return PatternSpec("ttour", (k,), g)
 
@@ -102,6 +107,7 @@ class PatternSpec:
         """Oriented star: center of in-degree p and out-degree q, p + q leaves."""
         if p < 0 or q < 0 or p + q < 1:
             raise BadParamsError("star needs p, q >= 0 with p + q >= 1")
+        _check_vertex_count(p + q + 1)
         arcs = [(i, 0) for i in range(1, p + 1)]
         arcs += [(0, p + j) for j in range(1, q + 1)]
         return PatternSpec("star", (p, q), OrientedGraph.from_arcs(p + q + 1, arcs))
@@ -110,6 +116,7 @@ class PatternSpec:
     def matching(k: int) -> "PatternSpec":
         if k < 1:
             raise BadParamsError("matching needs k >= 1")
+        _check_vertex_count(2 * k)
         g = OrientedGraph.from_arcs(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
         return PatternSpec("matching", (k,), g)
 
@@ -118,6 +125,7 @@ class PatternSpec:
         """Path on k vertices with alternating arcs, first arc forward."""
         if k < 2:
             raise BadParamsError("an antidirected path needs at least 2 vertices")
+        _check_vertex_count(k)
         arcs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(k - 1)]
         return PatternSpec("adpath", (k,), OrientedGraph.from_arcs(k, arcs))
 
@@ -487,12 +495,12 @@ def _run_levels(
     budget: Optional[int],
     stop: int,
 ) -> tuple[int, Optional[bytes], int, bool, list[tuple[tuple[int, ...], int]]]:
-    """Extend F-free canonical representatives from level k0 up to level stop.
+    """Extend F-free class representatives from level k0 up to level stop.
 
     Returns (best value, witness digits, nodes examined, budget exceeded,
     frontier at level stop).  The bounds prune against the final order n, so
     stopping early yields exactly the frontier a full run would reach there.
-    Ties at the final level keep the smallest digit string.
+    Ties at the final level keep the smallest canonical digit string.
     """
     pairs_total = n * (n - 1) // 2
     nodes = 0
@@ -528,6 +536,8 @@ def _run_levels(
                         continue
                     seen.add(digits)
                     if last:
+                        # pinned digits identify (child, x); ties need the child's own code
+                        digits = _min_digits(masks_from_digits(digits, n), n)
                         if child_arcs > best:
                             best, best_digits = child_arcs, digits
                         elif best_digits is None or digits < best_digits:

@@ -12,6 +12,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orituran.canon import (
     CanonicalCode,
@@ -117,13 +119,32 @@ def test_code_invariant_under_relabelling_of_symmetric_graphs(g):
 
 
 def _naive_accept(g):
-    """Min code if vertex n-1 is last in some min-code labelling, else None."""
-    best = _naive_min_code(g)
-    pinned = min(
-        _perm_code(g, perm + (g.n - 1,))
-        for perm in itertools.permutations(range(g.n - 1))
-    )
-    return best if pinned == best else None
+    """Pinned-last code of vertex n-1 if it is in the deletion orbit, else None.
+
+    The orbit is, among the vertices with the largest (degree, out-degree, sum
+    of out-neighbours' out-degrees), the one with the smallest code over the
+    labellings that put it last.
+    """
+    n = g.n
+
+    def invariant(v):
+        outs = [w for w in range(n) if g.has_arc(v, w)]
+        ins = [u for u in range(n) if g.has_arc(u, v)]
+        return len(outs) + len(ins), len(outs), sum(
+            1 for w in outs for z in range(n) if g.has_arc(w, z)
+        )
+
+    def pinned(v):
+        rest = [u for u in range(n) if u != v]
+        return min(_perm_code(g, perm + (v,)) for perm in itertools.permutations(rest))
+
+    inv = [invariant(v) for v in range(n)]
+    if inv[n - 1] != max(inv):
+        return None
+    code = pinned(n - 1)
+    if any(pinned(w) < code for w in range(n - 1) if inv[w] == inv[n - 1]):
+        return None
+    return code
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -135,6 +156,25 @@ def test_accept_child_matches_brute_force(n):
     for g in graphs:
         got = accept_child(g.out, g.n)
         assert (None if got is None else "".join(map(str, got))) == _naive_accept(g)
+
+
+@st.composite
+def _relabelled_children(draw):
+    """A child on n <= 7 vertices and a copy with its first n-1 vertices permuted."""
+    n = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(n), 2))
+    digits = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    arcs = [(i, j) if d == 1 else (j, i) for (i, j), d in zip(pairs, digits) if d]
+    perm = draw(st.permutations(range(n - 1))) + [n - 1]
+    g = OrientedGraph.from_arcs(n, arcs)
+    return g, OrientedGraph.from_arcs(n, ((perm[u], perm[v]) for u, v in arcs))
+
+
+@settings(max_examples=300)
+@given(_relabelled_children())
+def test_accept_child_depends_only_on_the_class_of_child_and_new_vertex(pair):
+    g, h = pair
+    assert accept_child(g.out, g.n) == accept_child(h.out, h.n)
 
 
 def test_is_isomorphic_agrees_with_networkx():
@@ -254,24 +294,38 @@ def test_tournament_counts():
         assert len(enumerate_tournaments(k)) == count
 
 
-def test_oriented_graph_count_n6():
-    # OEIS A001174
-    assert sum(1 for _ in enumerate_oriented_graphs(6)) == 21480
-
-
-def _codes_sha256(graphs):
-    text = "\n".join(canonical_code(g).serialize() for g in graphs)
+def _codes_sha256(graphs, order=lambda codes: codes):
+    text = "\n".join(order([canonical_code(g).serialize() for g in graphs]))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def test_oriented_graph_count_n6():
+    # OEIS A001174; the sorted codes pin the class set itself
+    graphs = list(enumerate_oriented_graphs(6))
+    assert len(graphs) == 21480
+    assert _codes_sha256(graphs, sorted) == (
+        "307d000a0460b6538e173bf175e7f43b376da2ca0df8032b97bdd837f3ed2cd3"
+    )
+
+
+def test_class_sets_are_pinned():
+    # sorted codes do not depend on the order in which classes are generated
+    assert _codes_sha256(enumerate_tournaments(7), sorted) == (
+        "18173e8ae95bab1f1d8d49b4f4d8bb6ab56ca28e7fe61edac877898bcad069e3"
+    )
+    assert _codes_sha256(enumerate_oriented_graphs(5), sorted) == (
+        "66fc78903ea1066b45ffa6ee036a00b344f0b63d16e8b0e8169abaa508da1c46"
+    )
+
+
 def test_enumeration_bytes_are_pinned():
-    # codes in enumeration order, as produced by the column-by-column search
-    # that the row-by-row search replaced: the code definition is unchanged
+    # codes in enumeration order, which is sorted by canonical digits, so the
+    # hashes equal the sorted class-set pins above
     assert _codes_sha256(enumerate_tournaments(7)) == (
-        "4b6646c7aed5b908439c9a527bd3913f8523a0fbe036aa9233942069602dae68"
+        "18173e8ae95bab1f1d8d49b4f4d8bb6ab56ca28e7fe61edac877898bcad069e3"
     )
     assert _codes_sha256(enumerate_oriented_graphs(5)) == (
-        "496beab679d3e3faa8fa0aac0139f4e6024c113e2076ca63e2bd5742aa269557"
+        "66fc78903ea1066b45ffa6ee036a00b344f0b63d16e8b0e8169abaa508da1c46"
     )
 
 

@@ -13,7 +13,8 @@ import pytest
 import orituran
 from orituran import cli, extremal
 from orituran.cli import main
-from orituran.graphs import decode
+from orituran.extremal import PatternSpec
+from orituran.graphs import VertexCapError, decode
 
 
 @pytest.fixture
@@ -131,6 +132,11 @@ def test_exo_budget_exit(capsys):
     [
         ["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"],
         ["exo", "--n", "4", "--pattern", "dpath3", "--budget", "-1"],
+        *(
+            ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "1", "--seed", "1",
+             "--t-override", t]
+            for t in ("0", "-5")
+        ),
     ],
 )
 def test_integer_flags_out_of_range(capsys, argv):
@@ -155,6 +161,24 @@ def test_exo_huge_range_is_refused_at_once(capsys, extra):
     finally:
         tracemalloc.stop()
     assert code == 3 and out == ""
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "token", ["star:99999999,1", "matching1000000000", "ttour1000000", "dpath1000000000"]
+)
+def test_huge_pattern_tokens_are_refused_before_building_arcs(capsys, token):
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(VertexCapError, match="exceeds cap 64"):
+            PatternSpec.parse(token)
+        code, out, err = _run(capsys, ["exo", "--n", "5", "--pattern", token])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out == "" and "exceeds cap 64" in err
     assert time.perf_counter() - t0 < 1.0
     assert peak < 1 << 20
 
