@@ -90,14 +90,15 @@ def _bipartite_from_oriented(g: OrientedGraph) -> BipartiteDigraph:
 
 
 def _parse_n_range(text: str) -> range:
-    if ".." in text:
-        lo_s, _, hi_s = text.partition("..")
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return range(lo, hi + 1)
-    n = int(text)
-    return range(n, n + 1)
+    lo_s, dots, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise ValueError(f"--n takes N or A..B, got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 # --- subcommand bodies --------------------------------------------------------

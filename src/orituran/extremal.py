@@ -13,8 +13,10 @@ extension by feasible neighbourhoods, McKay & Radziszowski, R(4,5) = 25).
 
 from __future__ import annotations
 
+import marshal
+import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NoReturn, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
@@ -548,6 +550,76 @@ def _run_levels(
     return best, best_digits, nodes, False, level
 
 
+def _run_chunks(chunks: list[tuple]) -> list[tuple[int, Optional[bytes], int, bool]]:
+    """(best, digits, nodes, exceeded) of _run_levels(*chunk) for each chunk, in order.
+
+    This process runs the first chunk and a forked child runs each other one.
+    If anything raises here, every child still running is killed and reaped
+    before the exception propagates.  Without os.fork every chunk runs in
+    this process, with the same outcomes.
+    """
+    if len(chunks) < 2 or not hasattr(os, "fork"):
+        return [_run_levels(*chunk)[:4] for chunk in chunks]
+    pending = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child_exit(chunk, w)
+            os.close(w)
+            pending.append((pid, os.fdopen(r, "rb")))
+        outcomes = [_run_levels(*chunks[0])[:4]]
+        while pending:
+            pid, pipe = pending[0]
+            with pipe:
+                data = pipe.read()
+            del pending[0]
+            _, status = os.waitpid(pid, 0)
+            if data[:1] == b"R":
+                outcomes.append(marshal.loads(data[1:]))
+            elif data[:1] == b"E":
+                import pickle
+
+                # only our own child wrote these bytes
+                raise pickle.loads(data[1:])
+            else:
+                raise RuntimeError(f"oracle worker {pid} ended with status {status} and no result")
+        return outcomes
+    except BaseException:
+        import signal
+
+        for pid, pipe in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+        raise
+
+
+def _child_exit(chunk: tuple, w: int) -> NoReturn:
+    """In a forked child: run one chunk, write b"R" and its marshalled outcome,
+    or b"E" and its pickled exception, to file descriptor w, and exit.
+
+    os._exit skips atexit handlers and leaves the stdio buffers inherited from
+    the parent unflushed, so nothing the parent has yet to write appears twice.
+    A child that cannot send its exception exits 1 having written nothing.
+    """
+    code = 1
+    try:
+        try:
+            data = b"R" + marshal.dumps(_run_levels(*chunk)[:4])
+        except BaseException as exc:  # sent to the parent, which re-raises it
+            import pickle
+
+            data = b"E" + pickle.dumps(exc)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def check_order(n: int, budget: Optional[int]) -> None:
     """Raise unless oracle_exo can run at order n with this node budget."""
     if n < 1:
@@ -572,10 +644,11 @@ def oracle_exo(
     Exhaustive up to n = 7; n = 8..10 needs an explicit node budget (the run
     is exact if it finishes, else BudgetExceededError carries the certified
     lower bound).  The budget caps extension nodes per worker; with jobs > 1
-    the levels grown before the split count against this process's own
-    budget.  The witness is the smallest canonical code among the maximum
-    graphs the pruned search retains; the value itself never depends on jobs
-    or budget.  nodes counts every extension examined, split levels included.
+    the levels grown before the split have a budget of their own, and so has
+    each share of the split, the first of which this process searches.  The
+    witness is the smallest canonical code among the maximum graphs the
+    pruned search retains; the value itself never depends on jobs or budget.
+    nodes counts every extension examined, split levels included.
     """
     spec = pattern if isinstance(pattern, PatternSpec) else PatternSpec.custom(pattern)
     f = spec.graph
@@ -595,28 +668,26 @@ def oracle_exo(
     best_digits = None if seed is None else bytes(int(c) for c in canonical_code(seed).digits)
 
     # with several workers, grow the levels below the split here, then deal
-    # the frontier out round-robin; each worker prunes against its own best,
-    # so nodes match the serial run unless best rises during the last level
+    # the frontier out round-robin to this process and forked children; each
+    # prunes against its own best, so nodes match the serial run unless best
+    # rises during the last level
     split_at = 3 if jobs > 1 and n >= 4 else n
     best, best_digits, nodes, exceeded, frontier = _run_levels(
         n, deletions, [((0,), 0)], 1, best, best_digits, budget, split_at
     )
     if split_at < n and not exceeded:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
+        chunks = [
             (n, deletions, frontier[i::jobs], split_at, best, best_digits, budget, n)
             for i in range(min(jobs, len(frontier)))
         ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for value, digits, used, ex, _ in pool.map(_run_levels, *zip(*args)):
-                nodes += used
-                exceeded = exceeded or ex
-                if value > best:
-                    best, best_digits = value, digits
-                elif value == best and digits is not None:
-                    if best_digits is None or digits < best_digits:
-                        best_digits = digits
+        for value, digits, used, ex in _run_chunks(chunks):
+            nodes += used
+            exceeded = exceeded or ex
+            if value > best:
+                best, best_digits = value, digits
+            elif value == best and digits is not None:
+                if best_digits is None or digits < best_digits:
+                    best_digits = digits
 
     if best_digits is not None:
         witness = OrientedGraph(n, masks_from_digits(best_digits, n))

@@ -114,7 +114,8 @@ class RegularizeResult:
 
     c is the density constant measured at the level where the final extraction
     fired (4*arcs/n^(1+epsilon) there); both reported bounds are guaranteed
-    against it.  K1 and K2 scale the average degree to the minimum and maximum:
+    against it.  delta and Delta are the subgraph's minimum and maximum
+    vertex degrees, and K1 and K2 scale the average degree to them:
     K1*delta = avg = K2*Delta.
     """
 
@@ -127,6 +128,8 @@ class RegularizeResult:
     n_s: int
     K1: float
     K2: float
+    delta: int
+    Delta: int
 
 
 def _degree_t(r: int, t_override: Optional[int]) -> int:
@@ -252,6 +255,8 @@ def almost_regular_subdigraph(
                 n_s=n_s,
                 K1=k1,
                 K2=k2,
+                delta=delta,
+                Delta=big,
             )
         best_i = max(range(1, 2 * t), key=lambda i: (pair_counts[i], -i))
         keep = top | set(buckets[best_i])
@@ -621,8 +626,7 @@ def faks_pipeline(
         return PipelineResult(
             None, tuple(stages), "regularize: refinement left no arcs"
         )
-    sub_degs = _vertex_degrees(sub)
-    delta = min(sub_degs.values())
+    delta = reg.delta
     c_required = (
         max(20, h_count)
         * 20.0
@@ -641,7 +645,7 @@ def faks_pipeline(
                 "d0": reg.d0,
                 "c_level": reg.c,
                 "delta": delta,
-                "Delta": max(sub_degs.values()),
+                "Delta": reg.Delta,
                 "K1": reg.K1,
                 "K2": reg.K2,
                 "c_required": c_required,

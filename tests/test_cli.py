@@ -359,15 +359,42 @@ def test_json_outputs_are_canonical(og_dir, capsys):
     assert json.dumps(json.loads(out1), sort_keys=True, separators=(",", ":")) + "\n" == out1
 
 
-def test_cold_import_skips_process_pool():
-    # the pool is imported only when --jobs asks for workers, to keep start-up short
+def _run_fresh(argv):
+    """Run python argv in a fresh interpreter on the source under test."""
     src = str(Path(orituran.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, orituran.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *argv], capture_output=True, env=dict(os.environ, PYTHONPATH=path)
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout
+
+
+def test_cold_import_and_jobs_skip_process_pool():
+    # --jobs forks its workers itself, to keep start-up and memory small
+    script = (
+        "import sys, orituran.cli\n"
+        "pool = ('concurrent.futures', 'multiprocessing')\n"
+        "print(any(m in sys.modules for m in pool))\n"
+        "from orituran.extremal import PatternSpec, oracle_exo\n"
+        "oracle_exo(7, PatternSpec.parse('prop23'), jobs=2)\n"
+        "print(any(m in sys.modules for m in pool))\n"
+    )
+    assert _run_fresh(["-c", script]).split() == [b"False", b"False"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--json"]])
+def test_exo_jobs_output_bytes_match_serial(extra):
+    # stdout is a pipe here, so a worker that flushed an inherited buffer would show
+    argv = ["-m", "orituran.cli", "exo", "--pattern", "dpath3", "--n", "4..7", *extra]
+    serial = _run_fresh(argv + ["--jobs", "1"])
+    assert _run_fresh(argv + ["--jobs", "2"]) == serial
+    lines = serial.splitlines()
+    assert len(lines) == (1 if extra else 6) and len(set(lines)) == len(lines)
+
+
+@pytest.mark.parametrize("text", ["3..x", "x", "3..", "..5", "", "3..5..7"])
+def test_exo_bad_n_names_the_forms(capsys, text):
+    code, out, err = _run(capsys, ["exo", "--pattern", "dpath3", "--n", text])
+    assert code == 2 and out == ""
+    assert err == f"error: --n takes N or A..B, got {text!r}\n"

@@ -1,12 +1,15 @@
 """Exact extremal values: oracle vs brute force, closed forms, constructions."""
 
 import itertools
+import os
+import time
 import tracemalloc
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orituran import extremal
 from orituran.containment import is_free
 from orituran.extremal import (
     BadParamsError,
@@ -19,7 +22,7 @@ from orituran.extremal import (
     turan_edges,
     verify_against_formula,
 )
-from orituran.graphs import OrientedGraph, TooLargeError, VertexCapError
+from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, VertexCapError
 from orituran.homomorphism import EmptyPatternError
 
 
@@ -212,15 +215,69 @@ def test_oracle_accepts_raw_graph():
     assert oracle_exo(4, arc).value == 0
 
 
+def _assert_no_children():
+    # every forked worker has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_oracle_jobs_deterministic():
     for token, n in (("dpath3", 6), ("ttour3", 7), ("prop23", 7)):
         spec = PatternSpec.parse(token)
         serial = oracle_exo(n, spec)
         for jobs in (2, 3):
             parallel = oracle_exo(n, spec, jobs=jobs)
+            _assert_no_children()
             assert serial.value == parallel.value
             assert serial.witness == parallel.witness
             assert serial.nodes == parallel.nodes, (token, n, jobs)
+
+
+def test_oracle_split_without_fork_matches_forked(monkeypatch):
+    # ttour4 at n = 6 has no starting construction, so nodes depend on the
+    # split; running every share in one process must not change them
+    spec = PatternSpec.parse("ttour4")
+    forked = [oracle_exo(6, spec, jobs=jobs) for jobs in (2, 3)]
+    _assert_no_children()
+    monkeypatch.delattr(os, "fork")
+    for jobs, want in zip((2, 3), forked):
+        got = oracle_exo(6, spec, jobs=jobs)
+        assert (got.value, got.witness, got.nodes) == (want.value, want.witness, want.nodes)
+    assert forked[0].nodes != oracle_exo(6, spec).nodes
+
+
+def test_oracle_worker_failure_is_reraised(monkeypatch):
+    parent = os.getpid()
+    run_levels = extremal._run_levels
+
+    def failing_in_children(*args):
+        if os.getpid() != parent:
+            raise InvariantError("worker failed")
+        return run_levels(*args)
+
+    monkeypatch.setattr(extremal, "_run_levels", failing_in_children)
+    with pytest.raises(InvariantError, match="worker failed"):
+        oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
+    _assert_no_children()
+
+
+def test_oracle_failure_here_kills_workers(monkeypatch):
+    parent = os.getpid()
+    run_levels = extremal._run_levels
+
+    def slow_children_failing_share(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif args[3] == 3:  # this process's share of the split
+            raise InvariantError("share failed")
+        return run_levels(*args)
+
+    monkeypatch.setattr(extremal, "_run_levels", slow_children_failing_share)
+    t0 = time.perf_counter()
+    with pytest.raises(InvariantError, match="share failed"):
+        oracle_exo(7, PatternSpec.parse("prop23"), jobs=3)
+    assert time.perf_counter() - t0 < 10
+    _assert_no_children()
 
 
 def test_oracle_validates_inputs():
