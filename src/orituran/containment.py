@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .canon import enumerate_tournaments
-from .graphs import OrientedGraph, TooLargeError
-from .homomorphism import VertexMap, find_map
+from .graphs import InvariantError, OrientedGraph, TooLargeError
+from .homomorphism import SearchPlan, VertexMap, find_map
 
 MAX_ORIENTATION_EDGES = 24
 
@@ -66,8 +66,9 @@ def all_tournaments_contain(
     Returns (True, None) or (False, first counterexample in enumeration
     order).
     """
+    plan = SearchPlan(pattern, injective=True)
     for t in enumerate_tournaments(k):
-        if contains_copy(t, pattern) is None:
+        if plan.search(t.out, t.in_masks) is None:
             return False, t
     return True, None
 
@@ -97,6 +98,8 @@ def all_orientations_contain(
         raise ValueError("duplicate undirected edges")
     if any(u == v for u, v in edges):
         raise ValueError("loops cannot be oriented")
+    if not all(0 <= u < n and 0 <= v < n for u, v in edges):
+        raise InvariantError(f"an edge endpoint lies outside 0..{n - 1}")
     m = len(edges)
     if m > MAX_ORIENTATION_EDGES:
         raise TooLargeError(
@@ -105,19 +108,23 @@ def all_orientations_contain(
     out = [0] * n
     for u, v in edges:
         out[u] |= 1 << v
-    g = OrientedGraph(n, tuple(out))
-    if contains_copy(g, pattern) is None:
+    g = OrientedGraph(n, tuple(out))  # the first orientation; also checks n against the cap
+    if pattern.arc_count > m:
+        return False, g
+    plan = SearchPlan(pattern, injective=True)
+    ins = list(g.in_masks)
+    if plan.search(out, ins) is None:
         return False, g
     for i in range(1, 1 << m):
         b = (i & -i).bit_length() - 1
         u, v = edges[b]
-        if (out[u] >> v) & 1:
-            out[u] &= ~(1 << v)
-            out[v] |= 1 << u
-        else:
-            out[v] &= ~(1 << u)
-            out[u] |= 1 << v
-        g = OrientedGraph(n, tuple(out))
-        if contains_copy(g, pattern) is None:
-            return False, g
+        if not (out[u] >> v & 1):
+            u, v = v, u
+        # reverse the arc u->v
+        out[u] ^= 1 << v
+        ins[v] ^= 1 << u
+        out[v] |= 1 << u
+        ins[u] |= 1 << v
+        if plan.search(out, ins) is None:
+            return False, OrientedGraph(n, tuple(out))
     return True, None

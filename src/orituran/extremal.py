@@ -21,6 +21,7 @@ from typing import Iterable, NoReturn, Optional, Sequence
 from .canon import (
     MAX_CODE_VERTICES,
     _extensions,
+    _in_masks,
     _min_digits,
     accept_child,
     canonical_code,
@@ -30,7 +31,7 @@ from .canon import (
 # contains_copy_through is unused here; bench/layers.py rebinds it until the stats channel lands
 from .containment import contains_copy_through, is_free
 from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError, _check_vertex_count
-from .homomorphism import EmptyPatternError, compressibility, find_map
+from .homomorphism import EmptyPatternError, SearchPlan, compressibility
 
 MAX_EXACT_VERTICES = 7
 
@@ -56,6 +57,10 @@ class BudgetExceededError(Exception):
         self.lower_bound = lower_bound
         self.witness = witness
         self.nodes = nodes
+
+    def __reduce__(self):
+        # a forked oracle worker sends its exception to the parent pickled
+        return type(self), (self.lower_bound, self.witness, self.nodes)
 
 
 @dataclass(frozen=True)
@@ -455,31 +460,30 @@ class ExtremalRecord:
     nodes: int = 0
 
 
-Deletion = tuple[OrientedGraph, tuple[tuple[int, int], ...]]
-
-
-def _deletions(f: OrientedGraph) -> list[Deletion]:
-    """F - u for each vertex u, with u's neighbours as (label in F - u, side),
-    side 0 for an out-neighbour and 1 for an in-neighbour."""
-    parts = []
+def _deletions(f: OrientedGraph) -> list[SearchPlan]:
+    """A copy-search plan of F - u for each vertex u of F.  It marks u's
+    out-neighbours with lane 1 and its in-neighbours with lane 2, so in a
+    k-vertex host each copy phi has the key phi(N+(u)) | phi(N-(u)) << k."""
+    plans = []
     for u in range(f.n):
         rest = [v for v in range(f.n) if v != u]
-        ins, nbrs = f.in_masks[u], f.out[u] | f.in_masks[u]
-        sides = tuple((i, ins >> v & 1) for i, v in enumerate(rest) if nbrs >> v & 1)
-        parts.append((f.induced(rest), sides))
-    return parts
+        marks = {i: 1 + (f.in_masks[u] >> v & 1) for i, v in enumerate(rest)
+                 if (f.out[u] | f.in_masks[u]) >> v & 1}
+        plans.append(SearchPlan(f.induced(rest), injective=True, marks=marks))
+    return plans
 
 
-def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[Deletion]) -> list[int]:
+def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[SearchPlan]) -> list[int]:
     """Minimal phi(N+(u)) | phi(N-(u)) << k over the copies phi of each F - u in
     the parent P (masks); extension x_out | x_in << k adds a copy of F iff it covers one."""
-    host = OrientedGraph(k, masks)
+    ins = _in_masks(masks, k)
+    arcs = sum(m.bit_count() for m in masks)
     found: set[int] = set()
-    for g, nbrs in deletions:
-        if g.n <= k and g.arc_count <= host.arc_count:
-            # every copy adds its mask; add returns None, so the search goes on
-            find_map(g, host, True, on_leaf=lambda phi, nbrs=nbrs: found.add(
-                sum(1 << phi[i] + side * k for i, side in nbrs)))
+    # every copy adds its key; add returns None, so the search goes on
+    add = found.add
+    for plan in deletions:
+        if plan.n <= k and plan.arc_count <= arcs:
+            plan.search(masks, ins, lambda _img, key: add(key))
     minimal: list[int] = []
     for p in sorted(found, key=int.bit_count):
         if all(p & q != q for q in minimal):
@@ -489,7 +493,7 @@ def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[Deletion]) 
 
 def _run_levels(
     n: int,
-    deletions: list[Deletion],
+    deletions: list[SearchPlan],
     frontier: list[tuple[tuple[int, ...], int]],
     k0: int,
     best: int,

@@ -52,8 +52,12 @@ class ParseError(GraphError):
 
     def __init__(self, message: str, line: int, column: int = 1):
         super().__init__(f"line {line}, col {column}: {message}")
+        self.detail = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        return type(self), (self.detail, self.line, self.column)
 
 
 def _check_vertex_count(n: int) -> None:

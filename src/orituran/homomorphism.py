@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
 from .graphs import GraphError, OrientedGraph, TooLargeError
@@ -76,6 +76,110 @@ def is_antidirected(g: OrientedGraph) -> bool:
     return all(g.out[u] == 0 or g.in_masks[u] == 0 for u in range(g.n))
 
 
+class SearchPlan:
+    """The pattern-only part of the arc-preserving map search, compiled once.
+
+    Pattern vertices are visited in a fixed order: decreasing total degree,
+    ties by index.  For each step the plan holds its vertex's out- and
+    in-degree thresholds, and, as step positions, the later steps joined to
+    it by an arc: assigning a step filters their candidate sets
+    (arc-consistency), which stays sound for non-injective maps.  It also
+    holds whether the map must be injective (a copy) or may collapse
+    vertices (a homomorphism), and the lane (1 or 2, else 0) of each marked
+    step: marks[u] = lane puts the image v of pattern vertex u at bit
+    v + (lane - 1) * n of each leaf's key, where n is the host's vertex count.
+    """
+
+    __slots__ = ("n", "arc_count", "injective", "order", "needs", "to_out", "to_in", "lanes")
+
+    def __init__(self, f: OrientedGraph, injective: bool, marks: Optional[dict[int, int]] = None):
+        out, ins = f.out, f.in_masks
+        order = sorted(range(f.n), key=lambda u: (-(out[u].bit_count() + ins[u].bit_count()), u))
+        position = {u: i for i, u in enumerate(order)}
+        self.n = f.n
+        self.arc_count = f.arc_count
+        self.injective = injective
+        self.order = tuple(order)
+        if injective:
+            self.needs = tuple((out[u].bit_count(), ins[u].bit_count()) for u in order)
+        else:
+            # images may be shared, so only "has some out-arc / in-arc" is forced
+            self.needs = tuple((min(out[u].bit_count(), 1), min(ins[u].bit_count(), 1))
+                               for u in order)
+        # to_out[i]: later steps j with an arc order[i] -> order[j], so step
+        # j's image lies in the out-set of step i's image; to_in alike
+        self.to_out = tuple(
+            tuple(position[x] for x in _bits(out[u]) if position[x] > i)
+            for i, u in enumerate(order)
+        )
+        self.to_in = tuple(
+            tuple(position[x] for x in _bits(ins[u]) if position[x] > i)
+            for i, u in enumerate(order)
+        )
+        marks = marks or {}
+        self.lanes = tuple(marks.get(u, 0) for u in order)
+
+    def search(
+        self, out: Sequence[int], ins: Sequence[int],
+        on_leaf: Optional[Callable[[list[int], int], object]] = None,
+    ) -> Optional[list[int]]:
+        """First map into the host with out- and in-masks out, ins, or None.
+
+        The map is the host image of each step (self.order[i] -> result[i]).
+        Candidates are tried lowest vertex first, so maps come in
+        lexicographic order of their image lists.  With on_leaf set, each
+        complete map (one reused list) and its key (the marked images, built
+        up along the path) are passed to it in that order, and the search
+        stops at the first map for which it returns true.
+        """
+        k, n = self.n, len(out)
+        if self.injective and k > n:
+            return None
+        out_deg = [m.bit_count() for m in out]
+        in_deg = [m.bit_count() for m in ins]
+        cand0 = [sum(1 << v for v in range(n) if out_deg[v] >= od and in_deg[v] >= idg)
+                 for od, idg in self.needs]
+        # taken holds the images so far when injective (bits 0..n-1) and the
+        # marked images in the lanes above, which no candidate set reaches
+        unit = int(self.injective)
+        lift = [unit | (1 << lane * n if lane else 0) for lane in self.lanes]
+        to_out, to_in = self.to_out, self.to_in
+        img = [0] * k
+
+        def dfs(i: int, cands: list[int], taken: int) -> bool:
+            if i == k:
+                return on_leaf is None or on_leaf(img, taken >> n)
+            m = cands[i] & ~taken
+            while m:
+                low = m & -m
+                m ^= low
+                v = low.bit_length() - 1
+                t = taken | low * lift[i]
+                new = cands[:]
+                for j in to_out[i]:
+                    new[j] &= out[v]
+                    if not new[j] & ~t:
+                        break
+                else:
+                    for j in to_in[i]:
+                        new[j] &= ins[v]
+                        if not new[j] & ~t:
+                            break
+                    else:
+                        img[i] = v
+                        if dfs(i + 1, new, t):
+                            return True
+            return False
+
+        return img if all(cand0) and dfs(0, cand0, 0) else None
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        yield (mask & -mask).bit_length() - 1
+        mask &= mask - 1
+
+
 def find_map(
     f: OrientedGraph, d: OrientedGraph, injective: bool,
     on_leaf: Optional[Callable[[dict[int, int]], object]] = None,
@@ -83,66 +187,13 @@ def find_map(
     """First arc-preserving map f -> d found by backtracking, or None.
 
     With injective set the map is a copy of f in d, otherwise a homomorphism.
-    Source vertices are processed by decreasing total degree (ties by index);
-    assigning a vertex filters the candidate sets of its not-yet-assigned
-    neighbours (arc-consistency), which stays sound for non-injective maps.
-    With on_leaf set, each complete map (one reused dict) is passed to it in
-    search order, and the search stops at the first for which it returns true.
+    With on_leaf set, each complete map is passed to it as a dict in search
+    order, and the search stops at the first for which it returns true.
     """
-    order = sorted(
-        range(f.n),
-        key=lambda u: (-(f.out[u].bit_count() + f.in_masks[u].bit_count()), u),
-    )
-    position = {u: i for i, u in enumerate(order)}
-    out_deg = [m.bit_count() for m in d.out]
-    in_deg = [m.bit_count() for m in d.in_masks]
-    cand0 = []
-    for u in range(f.n):
-        od, idg = f.out[u].bit_count(), f.in_masks[u].bit_count()
-        if not injective:
-            # images may be shared, so only "has some out-arc / in-arc" is forced
-            od, idg = min(od, 1), min(idg, 1)
-        cand0.append(
-            sum(1 << v for v in range(d.n) if out_deg[v] >= od and in_deg[v] >= idg)
-        )
-
-    assignment: dict[int, int] = {}
-
-    def dfs(i: int, cands: list[int], used: int) -> bool:
-        if i == len(order):
-            return on_leaf is None or on_leaf(assignment)
-        u = order[i]
-        m = cands[u] & ~used
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            taken = used | (1 << v) if injective else 0
-            new = list(cands)
-            ok = True
-            succ = f.out[u]
-            while succ and ok:
-                x = (succ & -succ).bit_length() - 1
-                succ &= succ - 1
-                if position[x] > i:
-                    new[x] &= d.out[v]
-                    ok = (new[x] & ~taken) != 0
-            pred = f.in_masks[u]
-            while pred and ok:
-                x = (pred & -pred).bit_length() - 1
-                pred &= pred - 1
-                if position[x] > i:
-                    new[x] &= d.in_masks[v]
-                    ok = (new[x] & ~taken) != 0
-            if ok:
-                assignment[u] = v
-                if dfs(i + 1, new, taken):
-                    return True
-                del assignment[u]
-        return False
-
-    if all(cand0) and dfs(0, cand0, 0):
-        return assignment
-    return None
+    plan = SearchPlan(f, injective)
+    leaf = None if on_leaf is None else lambda img, _key: on_leaf(dict(zip(plan.order, img)))
+    found = plan.search(d.out, d.in_masks, leaf)
+    return None if found is None else dict(zip(plan.order, found))
 
 
 def hom_exists(f: OrientedGraph, d: OrientedGraph) -> Optional[VertexMap]:
@@ -176,10 +227,11 @@ def compressibility(f: OrientedGraph) -> CompressibilityResult:
         return CompressibilityResult(None, None)
     # the single-vertex tournament never admits a hom from a pattern with an arc
     witness = OrientedGraph(1, (0,))
+    plan = SearchPlan(f, injective=False)
     for k in range(2, MAX_ENUM_VERTICES + 1):
         failing = None
         for t in enumerate_tournaments(k):
-            if hom_exists(f, t) is None:
+            if plan.search(t.out, t.in_masks) is None:
                 failing = t
                 break
         if failing is None:

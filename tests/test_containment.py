@@ -3,8 +3,9 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orituran.canon import _extensions, extend_masks
@@ -18,7 +19,7 @@ from orituran.containment import (
     orientation_graph,
 )
 from orituran.extremal import PatternSpec, _deletions, _forbidden_pairs
-from orituran.graphs import OrientedGraph, TooLargeError
+from orituran.graphs import InvariantError, OrientedGraph, TooLargeError
 from orituran.homomorphism import VertexMap
 
 
@@ -29,6 +30,13 @@ def _naive_contains(host, pattern, through=None):
         if all(host.has_arc(sub[u], sub[v]) for u, v in pattern.arcs()):
             return True
     return False
+
+
+NAMED_PATTERNS = [
+    "dpath3", "dpath4", "dcycle3", "dcycle4", "ttour3", "ttour4", "star:1,2",
+    "star:0,2", "star:2,0", "matching2", "adpath4", "oc4", "prop23", "prop23m",
+    "p3plusarc", "thm32",
+]
 
 
 def _random_graph(rng, n, density):
@@ -70,6 +78,37 @@ def test_contains_copy_matches_naive():
             assert (got is not None) == _naive_contains(host, pat)
             if got is not None:
                 assert is_copy_witness(host, pat, got)
+
+
+def _digits_graph(n, digits):
+    """The n-vertex graph whose upper-triangle pairs take the first C(n, 2)
+    digits: 0 no arc, 1 arc i->j, 2 arc j->i."""
+    pairs = itertools.combinations(range(n), 2)
+    return OrientedGraph.from_arcs(
+        n, [(i, j) if d == 1 else (j, i) for (i, j), d in zip(pairs, digits) if d]
+    )
+
+
+def _digraph(g):
+    d = nx.DiGraph()
+    d.add_nodes_from(range(g.n))
+    d.add_edges_from(g.arcs())
+    return d
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(1, 7), st.lists(st.integers(0, 2), min_size=21, max_size=21),
+    st.integers(1, 5), st.lists(st.integers(0, 2), min_size=10, max_size=10),
+)
+def test_contains_copy_matches_networkx(n, host_digits, k, pattern_digits):
+    host, pattern = _digits_graph(n, host_digits), _digits_graph(k, pattern_digits)
+    matcher = nx.algorithms.isomorphism.DiGraphMatcher(_digraph(host), _digraph(pattern))
+    expected = next(matcher.subgraph_monomorphisms_iter(), None) is not None
+    vm = contains_copy(host, pattern)
+    assert (vm is not None) == expected
+    if vm is not None:
+        assert is_copy_witness(host, pattern, vm)
 
 
 def test_contains_copy_reversal_symmetry():
@@ -160,11 +199,36 @@ def test_all_orientations_contain_small():
     assert is_free(cx, PatternSpec.parse("dcycle3").graph)
 
 
+def _naive_sweep(n, edges, pattern):
+    """Every orientation in Gray order, each built afresh and searched by brute force."""
+    for i in range(1 << len(edges)):
+        g = orientation_graph(n, edges, i ^ (i >> 1))
+        if not _naive_contains(g, pattern):
+            return False, g.out
+    return True, None
+
+
+@settings(max_examples=60)
+@given(st.integers(4, 6), st.integers(0, 2**32 - 1), st.sampled_from(NAMED_PATTERNS))
+def test_orientation_sweep_matches_naive_sweep(n, seed, token):
+    rng = random.Random(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [(u, v) if rng.random() < 0.5 else (v, u)
+             for u, v in rng.sample(pairs, rng.randint(4, min(10, len(pairs))))]
+    pattern = PatternSpec.parse(token).graph
+    holds, cx = all_orientations_contain(n, edges, pattern)
+    assert (holds, None if cx is None else cx.out) == _naive_sweep(n, edges, pattern)
+
+
 def test_all_orientations_rejects_bad_edges():
     with pytest.raises(ValueError):
         all_orientations_contain(3, [(0, 1), (1, 0)], OrientedGraph.from_arcs(2, [(0, 1)]))
     with pytest.raises(ValueError):
         all_orientations_contain(3, [(1, 1)], OrientedGraph.from_arcs(2, [(0, 1)]))
+    # a negative label would index from the end of the mask list
+    for edge in ((-1, 0), (0, -1), (3, 0), (0, 3)):
+        with pytest.raises(InvariantError):
+            all_orientations_contain(3, [edge], OrientedGraph.from_arcs(2, [(0, 1)]))
 
 
 def test_all_orientations_edge_cap():
@@ -175,11 +239,6 @@ def test_all_orientations_edge_cap():
 
 # --- one-vertex extension test of the oracle -------------------------------------
 
-NAMED_PATTERNS = [
-    "dpath3", "dpath4", "dcycle3", "dcycle4", "ttour3", "ttour4", "star:1,2",
-    "star:0,2", "star:2,0", "matching2", "adpath4", "oc4", "prop23", "prop23m",
-    "p3plusarc", "thm32",
-]
 # an arc plus an isolated vertex: deleting the isolated vertex needs nothing of x
 ARC_PLUS_POINT = OrientedGraph.from_arcs(3, [(0, 1)])
 
@@ -214,6 +273,39 @@ def test_forbidden_pairs_match_naive_through_search(token, k, seed):
         hit = _hits(forbidden, x)
         assert hit == _naive_contains(child, pattern, through=k), (token, parent, x)
         assert hit == (contains_copy_through(child, pattern, k) is not None)
+
+
+def _brute_force_pairs(parent, k, pattern):
+    """Minimal forbidden pairs straight from the definition: every injective
+    map of F - u into the parent that keeps F - u's arcs adds the pair of its
+    images of u's out- and in-neighbours."""
+    found = set()
+    for u in range(pattern.n):
+        rest = [v for v in range(pattern.n) if v != u]
+        arcs = [(a, b) for a, b in pattern.arcs() if u not in (a, b)]
+        for images in itertools.permutations(range(k), len(rest)):
+            phi = dict(zip(rest, images))
+            if all(parent.has_arc(phi[a], phi[b]) for a, b in arcs):
+                found.add(
+                    sum(1 << phi[v] for v in rest if pattern.has_arc(u, v))
+                    | sum(1 << phi[v] + k for v in rest if pattern.has_arc(v, u))
+                )
+    return {p for p in found if not any(q != p and p & q == q for q in found)}
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(NAMED_PATTERNS + ["arc+point"]),
+    st.integers(2, 5),
+    st.lists(st.integers(0, 2), min_size=10, max_size=10),
+)
+def test_forbidden_pairs_match_brute_force(token, k, digits):
+    # the parent need not be pattern-free: the pairs are defined for any graph
+    pattern = ARC_PLUS_POINT if token == "arc+point" else PatternSpec.parse(token).graph
+    parent = _digits_graph(k, digits)
+    got = _forbidden_pairs(parent.out, k, _deletions(pattern))
+    assert len(set(got)) == len(got)
+    assert set(got) == _brute_force_pairs(parent, k, pattern)
 
 
 def test_forbidden_pairs_edge_cases():

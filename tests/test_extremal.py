@@ -210,6 +210,21 @@ def test_oracle_frozen_values():
         assert is_free(rec.witness, PatternSpec.parse(token).graph)
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_oracle_ttour4_is_every_pair_below_eight(n):
+    # Erdos-Moser: every 8-tournament contains TT4 and QR7 does not, so
+    # exo(n, TT4) = C(n, 2) for n <= 7.  ttour4 has no construction seed.
+    rec = oracle_exo(n, PatternSpec.parse("ttour4"))
+    assert rec.value == n * (n - 1) // 2
+    w = rec.witness
+    assert all(w.has_arc(i, j) or w.has_arc(j, i) for i, j in itertools.combinations(range(n), 2))
+    # no 4 vertices are transitively ordered (checked without the copy search)
+    assert not any(
+        all(w.has_arc(a, b) for a, b in itertools.combinations(quad, 2))
+        for quad in itertools.permutations(range(n), 4)
+    )
+
+
 def test_oracle_accepts_raw_graph():
     arc = OrientedGraph.from_arcs(2, [(0, 1)])
     assert oracle_exo(4, arc).value == 0
@@ -258,6 +273,24 @@ def test_oracle_worker_failure_is_reraised(monkeypatch):
     monkeypatch.setattr(extremal, "_run_levels", failing_in_children)
     with pytest.raises(InvariantError, match="worker failed"):
         oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
+    _assert_no_children()
+
+
+def test_oracle_worker_budget_error_is_reraised(monkeypatch):
+    # the child's exception crosses the pipe pickled, with its attributes
+    parent = os.getpid()
+    run_levels = extremal._run_levels
+    witness = OrientedGraph.from_arcs(3, [(0, 1)])
+
+    def exhausted_in_children(*args):
+        if os.getpid() != parent:
+            raise BudgetExceededError(3, witness, 5)
+        return run_levels(*args)
+
+    monkeypatch.setattr(extremal, "_run_levels", exhausted_in_children)
+    with pytest.raises(BudgetExceededError) as exc:
+        oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
+    assert (exc.value.lower_bound, exc.value.witness, exc.value.nodes) == (3, witness, 5)
     _assert_no_children()
 
 
