@@ -18,14 +18,20 @@ and zeros minorize every completion, so a partial code that is already >= the
 best known full code is cut.  Once every cell is a singleton the rest of the
 labelling is forced, and its rows are written out without branching.  The
 search is seeded with the identity labelling's digits and cuts on equality,
-which keeps symmetric inputs cheap.
+which keeps symmetric inputs cheap.  Of winners that are false twins (equal
+out- and in-masks, hence no arc between them) only the first branches: the
+swap of two such vertices is an automorphism fixing everything already
+placed, so their subtrees hold the same codes.  Stars, isolated vertices and
+complete bipartite orientations are mostly twins, and a class of m twins
+that branched m ways at a row now branches once.
 For canonical deletion the search can pin one vertex to the last position: it
 stays out of the cells and its digit ends every row.
 
 Enumeration extends one representative per (k-1)-vertex class by one vertex
 (McKay's canonical augmentation).  Each way to join the new vertex is one int
 x_out | x_in << k (its out- and in-neighbours), listed densest first; the exo
-oracle walks the same list.  A child is kept only if its new vertex x lies in
+oracle decides the whole list at once, with the bitsets over its positions
+that ExtensionSets holds.  A child is kept only if its new vertex x lies in
 the orbit of a deletion vertex chosen from the child's isomorphism class
 alone.  Every vertex gets the invariant (degree, out-degree, sum of its
 out-neighbours' out-degrees), and the deletion orbit is, among the vertices
@@ -151,10 +157,18 @@ def _search(
                 winners = [v]
             elif key == least:
                 winners.append(v)
-        # only the winners branch; each splits every cell by its relation to v
+        # only the winners branch; each splits every cell by its relation to v.
+        # A false twin of an earlier winner (same out- and in-mask, so no arc
+        # joins them) is skipped: swapping the two fixes every placed vertex
+        # and the pin, so its subtree gives the same codes.
         branches = []
+        shapes = set()
         for v in winners:
             ov, iv = out[v], ins[v]
+            shape = ov << n | iv
+            if shape in shapes:
+                continue
+            shapes.add(shape)
             runs = []
             split = []
             for c in [first ^ (1 << v), *rest]:
@@ -349,6 +363,64 @@ def _extensions(k: int, tournament: bool) -> list[int]:
             for st in sorted(states, key=lambda st: (st.count(0), st))
         ]
     return _EXTENSIONS[key]
+
+
+@dataclass(frozen=True)
+class ExtensionSets:
+    """Sets of positions in _extensions(k, False) as ints: bit p stands for
+    the p-th extension, so one big-int operation acts on all 3^k of them.
+
+    lanes[b] holds the extensions whose int has bit b.  prefix[t], for
+    t = 0..k+1, counts the extensions with at least t arcs; they are the
+    first ones listed.  greater[u, w], for u < w, holds the extensions whose
+    state at u exceeds their state at w.
+    """
+
+    lanes: tuple[int, ...]
+    prefix: tuple[int, ...]
+    greater: dict[tuple[int, int], int]
+
+
+_EXTENSION_SETS: dict[int, ExtensionSets] = {}
+
+
+def _extension_sets(k: int) -> ExtensionSets:
+    if k not in _EXTENSION_SETS:
+        # groups[z]: (size, twos, ones) over the state tuples of length j with
+        # z zeros in ascending order, where twos[u] and ones[u] hold the
+        # tuples with state 2 and 1 at u.  In that order such a tuple is a 0
+        # and a tuple with z - 1 zeros, then a 1 and one with z zeros, then a
+        # 2 and one with z zeros.
+        groups = [(1, (), ())]
+        for j in range(1, k + 1):
+            none = (0, (0,) * (j - 1), (0,) * (j - 1))
+            grown = []
+            for z in range(j + 1):
+                la, a2, a1 = groups[z - 1] if z else none
+                lb, b2, b1 = groups[z] if z < j else none
+                run = (1 << lb) - 1
+                twos = (run << la + lb, *(a | b << la | b << la + lb for a, b in zip(a2, b2)))
+                ones = (run << la, *(a | b << la | b << la + lb for a, b in zip(a1, b1)))
+                grown.append((la + 2 * lb, twos, ones))
+            groups = grown
+        # _extensions lists the groups by number of zeros
+        twos, ones = [0] * k, [0] * k
+        prefix = [0] * (k + 2)
+        offset = 0
+        for z, (size, g2, g1) in enumerate(groups):
+            for u in range(k):
+                twos[u] |= g2[u] << offset
+                ones[u] |= g1[u] << offset
+            offset += size
+            prefix[k - z] = offset
+        greater = {
+            (u, w): twos[u] & ~twos[w] | ones[u] & ~(ones[w] | twos[w])
+            for u in range(k)
+            for w in range(u + 1, k)
+        }
+        # state 2 (x -> u) sets bit u, state 1 (u -> x) bit u + k
+        _EXTENSION_SETS[k] = ExtensionSets(tuple(twos + ones), tuple(prefix), greater)
+    return _EXTENSION_SETS[k]
 
 
 def extend_masks(masks: tuple[int, ...], x: int) -> tuple[int, ...]:

@@ -37,7 +37,7 @@ from .graphs import (
     encode,
 )
 from .homomorphism import EmptyPatternError, compressibility
-from .regularize import faks_pipeline
+from .regularize import RegularizeError, faks_pipeline
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -305,6 +305,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = _exit_code_for(exc)
         print(f"error: {exc}", file=sys.stderr)
         return code
+    except RegularizeError as exc:
+        # a pipeline stage that gave up without reporting it: no embedding
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE
 
 
 if __name__ == "__main__":

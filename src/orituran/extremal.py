@@ -6,9 +6,14 @@ time (freeness survives vertex deletion, so pruning whole subtrees is sound)
 with a branch-and-bound cutoff, and is seeded with a verified F-free
 construction when one applies.  A child P + x of an F-free parent P contains F
 exactly when P holds a copy phi of some F - u with phi(N+(u)) inside x's
-out-set and phi(N-(u)) inside its in-set, so each parent lists the minimal
-such pairs once and each extension costs a few AND tests (one-vertex
-extension by feasible neighbourhoods, McKay & Radziszowski, R(4,5) = 25).
+out-set and phi(N-(u)) inside its in-set (one-vertex extension by feasible
+neighbourhoods, McKay & Radziszowski, R(4,5) = 25).  Each parent decides its
+3^k extensions at once, as bitsets over their positions in the extension
+list: the bound admits a prefix of the list, each such pair forbids the AND
+of its lane masks, and each pair of false twins in P drops the extensions
+that an automorphism of P maps to an earlier-listed one (symmetry pruning
+of the extension set, McKay, Isomorph-free exhaustive generation,
+J. Algorithms 26 (1998)).  Only the survivors are tested canonically.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Iterable, NoReturn, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
+    _extension_sets,
     _extensions,
     _in_masks,
     _min_digits,
@@ -473,10 +479,11 @@ def _deletions(f: OrientedGraph) -> list[SearchPlan]:
     return plans
 
 
-def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[SearchPlan]) -> list[int]:
-    """Minimal phi(N+(u)) | phi(N-(u)) << k over the copies phi of each F - u in
-    the parent P (masks); extension x_out | x_in << k adds a copy of F iff it covers one."""
-    ins = _in_masks(masks, k)
+def _copy_keys(masks: tuple[int, ...], ins: list[int], k: int,
+               deletions: list[SearchPlan]) -> set[int]:
+    """phi(N+(u)) | phi(N-(u)) << k over the copies phi of each F - u in the
+    parent P (out-masks masks, in-masks ins); extension x_out | x_in << k
+    adds a copy of F iff it covers one of them."""
     arcs = sum(m.bit_count() for m in masks)
     found: set[int] = set()
     # every copy adds its key; add returns None, so the search goes on
@@ -484,11 +491,53 @@ def _forbidden_pairs(masks: tuple[int, ...], k: int, deletions: list[SearchPlan]
     for plan in deletions:
         if plan.n <= k and plan.arc_count <= arcs:
             plan.search(masks, ins, lambda _img, key: add(key))
-    minimal: list[int] = []
-    for p in sorted(found, key=int.bit_count):
-        if all(p & q != q for q in minimal):
-            minimal.append(p)
-    return minimal
+    return found
+
+
+def _forbidden(keys: Iterable[int], lanes: tuple[int, ...], covers: dict[int, int]) -> int:
+    """The positions of the extensions that cover some key, as a bitset.
+
+    cover(key), the extensions that cover key, is the AND of key's lanes (-1,
+    every position, for the empty key) and is kept in covers.  A key that
+    covers a smaller one adds nothing to the OR, so the keys need not be
+    minimal.
+    """
+    forbidden = 0
+    for key in keys:
+        cover = covers.get(key)
+        if cover is None:
+            cover = -1
+            m = key
+            while m:
+                low = m & -m
+                cover &= lanes[low.bit_length() - 1]
+                m ^= low
+            covers[key] = cover
+        forbidden |= cover
+    return forbidden
+
+
+def _twin_images(masks: tuple[int, ...], ins: list[int],
+                 greater: dict[tuple[int, int], int]) -> int:
+    """The positions of the extensions that an automorphism of the parent maps
+    to an earlier-listed one, as found by swapping false twins.
+
+    Swapping false twins u < w (equal out- and in-masks) is an automorphism,
+    so an extension whose state at u exceeds its state at w has the same
+    child, up to an isomorphism fixing the new vertex, as the extension with
+    the two states swapped, which is listed earlier.  accept_child gives both
+    the same answer, so the later one adds no class that seen lacks.
+    Comparing each twin with the previous member of its class drops the same
+    positions as comparing every pair.
+    """
+    twins = 0
+    previous: dict[tuple[int, int], int] = {}
+    for w, shape in enumerate(zip(masks, ins)):
+        u = previous.get(shape)
+        if u is not None:
+            twins |= greater[u, w]
+        previous[shape] = w
+    return twins
 
 
 def _run_levels(
@@ -507,6 +556,14 @@ def _run_levels(
     frontier at level stop).  The bounds prune against the final order n, so
     stopping early yields exactly the frontier a full run would reach there.
     Ties at the final level keep the smallest canonical digit string.
+
+    Each parent's extensions are decided together as bitsets over their
+    positions in _extensions(k, False).  Those the bound lets through form a
+    window at the front of the list (it is ordered densest first); nodes
+    counts the window whole, as if each extension in it were examined in
+    turn.  Only the survivors, which complete no copy of F and are no twin
+    image of an earlier extension, reach the canonical test.  A budget that
+    runs out inside a window stops the run where that walk would stop.
     """
     pairs_total = n * (n - 1) // 2
     nodes = 0
@@ -515,41 +572,50 @@ def _run_levels(
         cap_parent = pairs_total - k * (k - 1) // 2
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
+        exts = _extensions(k, False)
+        sets = _extension_sets(k)
+        prefix = sets.prefix
+        covers: dict[int, int] = {}
         nxt: list[tuple[tuple[int, ...], int]] = []
         for masks, arcs in level:
             if arcs + cap_parent <= best:
                 continue
+            # the extensions with at least t arcs pass the bound
+            t = best - arcs if last else best - cap_child - arcs + 1
+            window = prefix[max(t, 0)]
+            if budget is not None and window > budget - nodes:
+                live = (1 << budget - nodes) - 1  # the budget runs out at the next one
+            else:
+                live = (1 << window) - 1
+            ins = _in_masks(masks, k)
+            live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
+            live &= ~_twin_images(masks, ins, sets.greater)
             seen: set[bytes] = set()
-            forbidden = None  # built on the first examined child
-            for x in _extensions(k, False):
+            while live:
+                low = live & -live
+                live ^= low
+                x = exts[low.bit_length() - 1]
                 child_arcs = arcs + x.bit_count()
+                if last and child_arcs < best:
+                    break  # best rose inside the window, which ends here
+                digits = accept_child(extend_masks(masks, x), k + 1)
+                if digits is None or digits in seen:
+                    continue
+                seen.add(digits)
                 if last:
-                    if child_arcs < best:
-                        break  # extensions are ordered densest first
-                elif child_arcs + cap_child <= best:
-                    break
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return best, best_digits, nodes, True, []
-                if forbidden is None:
-                    forbidden = _forbidden_pairs(masks, k, deletions)
-                for p in forbidden:
-                    if p & x == p:
-                        break  # x would complete a copy of F
+                    # pinned digits identify (child, x); ties need the child's own code
+                    digits = _min_digits(masks_from_digits(digits, n), n)
+                    if child_arcs > best:
+                        best, best_digits = child_arcs, digits
+                    elif best_digits is None or digits < best_digits:
+                        best_digits = digits
                 else:
-                    digits = accept_child(extend_masks(masks, x), k + 1)
-                    if digits is None or digits in seen:
-                        continue
-                    seen.add(digits)
-                    if last:
-                        # pinned digits identify (child, x); ties need the child's own code
-                        digits = _min_digits(masks_from_digits(digits, n), n)
-                        if child_arcs > best:
-                            best, best_digits = child_arcs, digits
-                        elif best_digits is None or digits < best_digits:
-                            best_digits = digits
-                    else:
-                        nxt.append((masks_from_digits(digits, k + 1), child_arcs))
+                    nxt.append((masks_from_digits(digits, k + 1), child_arcs))
+            if last:
+                window = prefix[max(best - arcs, 0)]
+            if budget is not None and window > budget - nodes:
+                return best, best_digits, budget + 1, True, []
+            nodes += window
         level = nxt
     return best, best_digits, nodes, False, level
 

@@ -537,8 +537,6 @@ def _random_zoom_stats(
         stats = {
             "p": p,
             "retries": trial + 1,
-            "w_size_ok": True,
-            "u_size_ok": True,
             "w_sampled": len(w_ids),
             "u_kept": len(u_ids),
         }

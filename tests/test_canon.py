@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from orituran.canon import (
     CanonicalCode,
+    _extension_sets,
     _extensions,
+    _min_digits,
     accept_child,
     automorphism_order,
     canonical_code,
@@ -175,6 +177,76 @@ def _relabelled_children(draw):
 def test_accept_child_depends_only_on_the_class_of_child_and_new_vertex(pair):
     g, h = pair
     assert accept_child(g.out, g.n) == accept_child(h.out, h.n)
+
+
+def _matrix_min_code(g):
+    """_naive_min_code over a digit matrix: fast enough for n = 8."""
+    d = [[1 if g.has_arc(i, j) else 2 if g.has_arc(j, i) else 0 for j in range(g.n)]
+         for i in range(g.n)]
+    pairs = list(itertools.combinations(range(g.n), 2))
+    return min(bytes(d[p[i]][p[j]] for i, j in pairs)
+               for p in itertools.permutations(range(g.n)))
+
+
+def _twin_rich_graphs():
+    """Stars with isolated vertices, one-way complete bipartite graphs (also
+    with one arc inside a side, which leaves two joined vertices twins in all
+    else), blow-ups of 3-vertex tournaments and sparse graphs padded with
+    isolated vertices, each randomly relabelled."""
+    rng = random.Random(8)
+    graphs = []
+    for n in range(2, 9):
+        for leaves in range(1, n):
+            p = rng.randrange(leaves + 1)  # in-leaves; the others are out-leaves
+            arcs = [(v, 0) for v in range(1, p + 1)] + [(0, v) for v in range(p + 1, leaves + 1)]
+            graphs.append(OrientedGraph.from_arcs(n, arcs))
+        for a in range(1, n):
+            k_ab = [(u, v) for u in range(a) for v in range(a, n)]
+            graphs.append(OrientedGraph.from_arcs(n, k_ab))
+            if a >= 2:
+                graphs.append(OrientedGraph.from_arcs(n, k_ab + [(0, 1)]))
+        parts = [v % 3 for v in range(n)]
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+        graphs.append(OrientedGraph.from_arcs(n, [(u, v) for u, v in pairs if parts[u] < parts[v]]))
+        graphs.append(OrientedGraph.from_arcs(
+            n, [(u, v) for u, v in pairs if (parts[v] - parts[u]) % 3 == 1]
+        ))
+        graphs.append(OrientedGraph.empty(n))
+        for _ in range(3):  # a sparse graph on some vertices, the rest isolated
+            core = _random_graph(rng, rng.randint(2, n), 0.4)
+            graphs.append(OrientedGraph.from_arcs(n, core.arcs()))
+    return [_relabel(g, rng) for g in graphs]
+
+
+def test_twin_pruned_search_matches_brute_force_on_twin_rich_graphs():
+    rng = random.Random(9)
+    graphs = _twin_rich_graphs()
+    for g in graphs:
+        if g.n == 8 and rng.random() < 0.8:
+            continue  # brute force at n = 8 costs about 0.3 s a graph
+        want = _matrix_min_code(g)
+        assert _min_digits(g.out, g.n) == want, list(g.arcs())
+        assert is_canonical(g) == (bytes(int(c) for c in _digits_of_identity(g)) == want)
+        canon = OrientedGraph(g.n, tuple(canonical_code(g).to_graph().out))
+        assert is_canonical(canon)
+    for g in graphs:
+        if g.n <= 6:
+            got = accept_child(g.out, g.n)
+            assert (None if got is None else "".join(map(str, got))) == _naive_accept(g)
+
+
+@settings(max_examples=150)
+@given(st.integers(2, 8), st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 2**32 - 1))
+def test_code_invariant_under_random_relabelling_up_to_eight(n, p_arc, seed):
+    rng = random.Random(seed)
+    g = _random_graph(rng, n, p_arc) if rng.random() < 0.5 else rng.choice(_TWIN_RICH[n])
+    code = canonical_code(g)
+    assert is_canonical(code.to_graph())
+    for _ in range(3):
+        assert canonical_code(_relabel(g, rng)) == code
+
+
+_TWIN_RICH = {n: [g for g in _twin_rich_graphs() if g.n == n] for n in range(2, 9)}
 
 
 def test_is_isomorphic_agrees_with_networkx():
@@ -365,3 +437,25 @@ def test_enumeration_cap():
         list(enumerate_oriented_graphs(8))
     with pytest.raises(TooLargeError):
         enumerate_tournaments(8)
+
+
+def test_extension_sets_match_the_extension_list():
+    for k in range(7):
+        xs = _extensions(k, False)
+        sets = _extension_sets(k)
+
+        def positions(test):
+            return sum(1 << p for p, x in enumerate(xs) if test(x))
+
+        def state(x, u):
+            return 2 if x >> u & 1 else 1 if x >> u + k & 1 else 0
+
+        assert sets.lanes == tuple(positions(lambda x, b=b: x >> b & 1) for b in range(2 * k))
+        assert sets.prefix == tuple(
+            sum(1 for x in xs if x.bit_count() >= t) for t in range(k + 2)
+        )
+        assert all(x.bit_count() >= t for t in range(k + 2) for x in xs[:sets.prefix[t]])
+        assert sets.greater == {
+            (u, w): positions(lambda x, u=u, w=w: state(x, u) > state(x, w))
+            for u in range(k) for w in range(u + 1, k)
+        }

@@ -15,6 +15,7 @@ from orituran import cli, extremal
 from orituran.cli import main
 from orituran.extremal import PatternSpec
 from orituran.graphs import VertexCapError, decode
+from test_exceptions import SAMPLES
 
 
 @pytest.fixture
@@ -194,6 +195,77 @@ def test_exo_range_checks_its_ends_before_the_oracle(capsys, monkeypatch, extra)
     assert code == 3 and out == "" and "exhaustive cap 7" in err
     code, _, err = _run(capsys, ["exo", "--pattern", "dpath3", "--n", "0..3", *extra])
     assert code == 2 and "n >= 1" in err
+
+
+def _malformed_argvs(d):
+    """Malformed values for every subcommand: bad or out-of-range integers,
+    bad tokens, and missing, empty, binary or malformed .og files."""
+    files = {
+        "empty.og": "", "junk.og": "x\n", "arcs.og": "3\n0 1 2\n", "range.og": "3\n0 5\n",
+        "loop.og": "3\n1 1\n", "anti.og": "3\n0 1\n1 0\n", "neg.og": "-1\n",
+        "huge.og": "99999999999999999999\n", "zero.og": "0\n", "undirected.og": "undirected\n3\n0 1\n",
+    }
+    for name, text in files.items():
+        (d / name).write_text(text)
+    (d / "binary.og").write_bytes(b"\xff\xfe\x00\n")
+    paths = [str(d / name) for name in [*files, "binary.og", "missing.og"]] + [str(d)]
+    ints = ["x", "", "-1", "0", "2.5", "1e3", "99999999999999999999"]
+    tokens = ["", "zzz", "star:", "star:a,b", "star:-1,2", "star:0,0", "dpath1", "dcycle2",
+              "matching0", "ttour99", "c1", "dpath" + "9" * 30]
+    ok = str(d / "p4.og")
+    for path in paths:
+        yield ["compress", path, "--json"]
+        yield ["exo", "--n", "3", "--pattern-file", path]
+        yield ["embed", "--host", path, "--pattern", "dpath2", "--r", "1", "--seed", "1"]
+        yield ["embed", "--host", ok, "--pattern-file", path, "--r", "1", "--seed", "1"]
+        yield ["check-hypothesis", "all-orientations", "--host", path, "--pattern", "dpath3"]
+        yield ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern-file", path]
+    for v in ints:
+        yield ["exo", "--n", v, "--pattern", "dpath3"]
+        yield ["exo", "--n", "3.." + v, "--pattern", "dpath3"]
+        yield ["exo", "--n", "3", "--pattern", "dpath3", "--budget", v]
+        yield ["exo", "--n", "3", "--pattern", "dpath3", "--jobs", v]
+        for name in ["turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27"]:
+            yield ["construct", name, "--n", v, "--r", "2", "--p", "1", "--q", "2"]
+            yield ["construct", name, "--n", "6", "--r", v, "--p", v, "--q", v, "--d", v]
+        yield ["check-hypothesis", "all-tournaments", "--k", v, "--pattern", "dpath3"]
+        yield ["embed", "--host", ok, "--pattern", "dpath2", "--r", v, "--seed", "1"]
+        yield ["embed", "--host", ok, "--pattern", "dpath2", "--r", "1", "--seed", v]
+        yield ["embed", "--host", ok, "--pattern", "dpath2", "--r", "1", "--seed", "1",
+               "--t-override", v]
+    for token in tokens:
+        yield ["exo", "--n", "3", "--pattern", token]
+        yield ["construct", "turan", "--n", "5", "--r", "2", "--pattern", token]
+        yield ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", token]
+        yield ["embed", "--host", ok, "--pattern", token, "--r", "1", "--seed", "1"]
+    yield from ([], ["nope"], ["exo"], ["embed"], ["check-hypothesis", "bad"], ["construct"])
+
+
+def test_malformed_values_end_in_a_documented_exit_code(og_dir, capsys):
+    argvs = list(_malformed_argvs(og_dir))
+    assert len(argvs) > 250
+    for argv in argvs:
+        code, _, err = _run(capsys, argv)
+        assert code in range(5), argv
+        assert "Traceback" not in err, argv
+
+
+def test_every_package_exception_maps_to_a_documented_exit_code(capsys, monkeypatch):
+    # SAMPLES holds one instance of every exception class of the package
+    raising = []
+
+    def fail(*args, **kwargs):
+        raise raising[-1]
+
+    monkeypatch.setattr(cli, "oracle_exo", fail)
+    monkeypatch.setattr(cli, "faks_pipeline", fail)
+    monkeypatch.setattr(cli, "_read_file", lambda path: "2\n")
+    for exc in SAMPLES:
+        raising.append(exc)
+        for argv in (["exo", "--n", "3", "--pattern", "dpath3"],
+                     ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "1", "--seed", "1"]):
+            code, out, err = _run(capsys, argv)
+            assert code in (1, 2, 3, 4) and out == "" and "Traceback" not in err, (exc, argv)
 
 
 def test_construct_og_output(capsys):

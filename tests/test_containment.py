@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orituran.canon import _extensions, extend_masks
+from orituran.canon import _extension_sets, _extensions, _in_masks, accept_child, extend_masks
 from orituran.containment import (
     all_orientations_contain,
     all_tournaments_contain,
@@ -18,7 +18,7 @@ from orituran.containment import (
     is_free,
     orientation_graph,
 )
-from orituran.extremal import PatternSpec, _deletions, _forbidden_pairs
+from orituran.extremal import PatternSpec, _copy_keys, _deletions, _forbidden, _twin_images
 from orituran.graphs import InvariantError, OrientedGraph, TooLargeError
 from orituran.homomorphism import VertexMap
 
@@ -255,6 +255,16 @@ def _free_parent(rng, k, pattern):
     return g
 
 
+def _forbidden_pairs(masks, k, deletions):
+    """The minimal copy keys of the parent, in order of size: the pair list the
+    oracle tested each extension against before it used position bitsets."""
+    minimal = []
+    for p in sorted(_copy_keys(masks, _in_masks(masks, k), k, deletions), key=int.bit_count):
+        if all(p & q != q for q in minimal):
+            minimal.append(p)
+    return minimal
+
+
 def _hits(forbidden, x):
     return any(p & x == p for p in forbidden)
 
@@ -319,3 +329,74 @@ def test_forbidden_pairs_edge_cases():
     assert _forbidden_pairs(_random_graph(random.Random(5), 4, 0.9).out, 4, _deletions(big)) == []
     # the single arc: x needs one out-neighbour or one in-neighbour
     assert sorted(_forbidden_pairs((0,), 1, _deletions(arc))) == [0b01, 0b10]
+
+
+# --- the oracle's per-parent bitsets ----------------------------------------------
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(NAMED_PATTERNS + ["arc+point"]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_forbidden_positions_are_the_extensions_covering_a_pair(token, k, seed):
+    pattern = ARC_PLUS_POINT if token == "arc+point" else PatternSpec.parse(token).graph
+    parent = _free_parent(random.Random(seed), k, pattern)
+    deletions = _deletions(pattern)
+    keys = _copy_keys(parent.out, _in_masks(parent.out, k), k, deletions)
+    covers = {}
+    forbidden = _forbidden(keys, _extension_sets(k).lanes, covers)
+    assert _forbidden(keys, _extension_sets(k).lanes, covers) == forbidden  # from the cache
+    pairs = _forbidden_pairs(parent.out, k, deletions)
+    xs = _extensions(k, False)
+    assert ~forbidden & (1 << len(xs)) - 1 == sum(
+        1 << p for p, x in enumerate(xs) if not _hits(pairs, x)
+    )
+
+
+def _accepted(masks, k, positions):
+    """Distinct accepted pinned-last digits of the children at positions, in order."""
+    found = []
+    for p, x in enumerate(_extensions(k, False)):
+        if positions >> p & 1:
+            digits = accept_child(extend_masks(masks, x), k + 1)
+            if digits is not None and digits not in found:
+                found.append(digits)
+    return found
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from(NAMED_PATTERNS),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+)
+def test_twin_filter_keeps_the_accepted_digits(token, k, seed):
+    pattern = PatternSpec.parse(token).graph
+    rng = random.Random(seed)
+    # sparse parents have many false twins
+    parent = _free_parent(rng, k, pattern) if rng.random() < 0.5 else _random_graph(rng, k, 0.3)
+    ins = _in_masks(parent.out, k)
+    sets = _extension_sets(k)
+    live = ~_forbidden(_copy_keys(parent.out, ins, k, _deletions(pattern)), sets.lanes, {})
+    live &= (1 << 3 ** k) - 1
+    twins = _twin_images(parent.out, ins, sets.greater)
+    assert _accepted(parent.out, k, live & ~twins) == _accepted(parent.out, k, live)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_twin_filter_on_the_empty_parent_keeps_the_sorted_states(k):
+    # every vertex of the empty parent is a twin of every other, so only the
+    # extensions whose states never fall from one vertex to the next survive
+    empty = (0,) * k
+    kept = ~_twin_images(empty, [0] * k, _extension_sets(k).greater)
+    xs = _extensions(k, False)
+
+    def state(x, u):
+        return 2 if x >> u & 1 else 1 if x >> u + k & 1 else 0
+
+    assert kept & (1 << len(xs)) - 1 == sum(
+        1 << p for p, x in enumerate(xs)
+        if all(state(x, u) <= state(x, u + 1) for u in range(k - 1))
+    )

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 import time
 import tracemalloc
 
@@ -10,6 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orituran import extremal
+from orituran.canon import (
+    _extensions,
+    _in_masks,
+    _min_digits,
+    accept_child,
+    extend_masks,
+    masks_from_digits,
+)
 from orituran.containment import is_free
 from orituran.extremal import (
     BadParamsError,
@@ -223,6 +232,116 @@ def test_oracle_ttour4_is_every_pair_below_eight(n):
         all(w.has_arc(a, b) for a, b in itertools.combinations(quad, 2))
         for quad in itertools.permutations(range(n), 4)
     )
+
+
+def _brute_force_exo(n, pattern):
+    """exo(n, pattern) over all 3^C(n,2) labelled graphs as arc bitmasks: a
+    graph holds a copy iff it contains the arc set of some injective image."""
+    np = pytest.importorskip("numpy")
+    pairs = list(itertools.combinations(range(n), 2))
+    bit = {}
+    for i, (a, b) in enumerate(pairs):
+        bit[a, b], bit[b, a] = 1 << 2 * i, 1 << 2 * i + 1
+    graphs = np.zeros(1, dtype=np.int64)
+    for i in range(len(pairs)):  # each pair: no arc, a -> b or b -> a
+        graphs = np.concatenate([graphs, graphs | 1 << 2 * i, graphs | 1 << 2 * i + 1])
+    images = {sum(bit[phi[a], phi[b]] for a, b in pattern.arcs())
+              for phi in itertools.permutations(range(n), pattern.n)}
+    free = np.ones(len(graphs), dtype=bool)
+    for image in images:
+        free &= (graphs & image) != image
+    arcs = np.zeros(len(graphs), dtype=np.int64)
+    for i in range(2 * len(pairs)):
+        arcs += graphs >> i & 1
+    return int(arcs[free].max())
+
+
+def test_oracle_matches_brute_force_at_five_on_random_patterns():
+    rng = random.Random(5)
+    for _ in range(40):
+        k = rng.randint(2, 5)
+        pairs = list(itertools.combinations(range(k), 2))
+        chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+        pattern = OrientedGraph.from_arcs(
+            k, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen]
+        )
+        rec = oracle_exo(5, pattern)
+        assert rec.value == _brute_force_exo(5, pattern), list(pattern.arcs())
+        assert is_free(rec.witness, pattern) and rec.witness.arc_count == rec.value
+
+
+def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, stop):
+    """The level loop _run_levels replaced: each extension is examined in
+    turn, counted, charged to the budget and tested against the copy keys."""
+    pairs_total = n * (n - 1) // 2
+    nodes = 0
+    level = frontier
+    for k in range(k0, stop):
+        cap_parent = pairs_total - k * (k - 1) // 2
+        cap_child = pairs_total - (k + 1) * k // 2
+        last = k + 1 == n
+        nxt = []
+        for masks, arcs in level:
+            if arcs + cap_parent <= best:
+                continue
+            seen = set()
+            keys = None
+            for x in _extensions(k, False):
+                child_arcs = arcs + x.bit_count()
+                if last:
+                    if child_arcs < best:
+                        break
+                elif child_arcs + cap_child <= best:
+                    break
+                nodes += 1
+                if budget is not None and nodes > budget:
+                    return best, best_digits, nodes, True, []
+                if keys is None:
+                    keys = extremal._copy_keys(masks, _in_masks(masks, k), k, deletions)
+                if any(p & x == p for p in keys):
+                    continue
+                digits = accept_child(extend_masks(masks, x), k + 1)
+                if digits is None or digits in seen:
+                    continue
+                seen.add(digits)
+                if last:
+                    digits = _min_digits(masks_from_digits(digits, n), n)
+                    if child_arcs > best:
+                        best, best_digits = child_arcs, digits
+                    elif best_digits is None or digits < best_digits:
+                        best_digits = digits
+                else:
+                    nxt.append((masks_from_digits(digits, k + 1), child_arcs))
+        level = nxt
+    return best, best_digits, nodes, False, level
+
+
+@pytest.mark.parametrize(
+    "token,n",
+    [("matching2", 6), ("prop23", 6), ("adpath4", 6), ("star:0,2", 6), ("dpath3", 5),
+     ("ttour4", 6), ("adpath5", 6), ("oc4", 5)],
+)
+def test_run_levels_matches_the_per_extension_loop(token, n):
+    spec = PatternSpec.parse(token)
+    deletions = extremal._deletions(spec.graph)
+    seed = extremal._construction_seed(spec, n)
+    best = -1 if seed is None else seed.arc_count
+    digits = None if seed is None else _min_digits(seed.out, n)
+    start = (n, deletions, [((0,), 0)], 1, best, digits)
+    full = _reference_levels(*start, None, n)
+    before_last = _reference_levels(*start, None, n - 1)
+    assert extremal._run_levels(*start, None, n) == full
+    assert extremal._run_levels(*start, None, n - 1) == before_last
+    assert extremal._run_levels(*start, None, 3) == _reference_levels(*start, None, 3)
+    # budgets that run out early, inside the last level's windows, or never
+    rng = random.Random(n)
+    cut = before_last[2]
+    budgets = [0, 1, cut - 1, cut, cut + 1, (cut + full[2]) // 2, full[2] - 1, full[2]]
+    budgets += [rng.randrange(full[2] + 1) for _ in range(4)]
+    for budget in budgets:
+        want = _reference_levels(*start, budget, n)
+        assert extremal._run_levels(*start, budget, n) == want, budget
+        assert want[3] == (budget < full[2])
 
 
 def test_oracle_accepts_raw_graph():

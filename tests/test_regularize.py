@@ -353,7 +353,7 @@ def test_zoom_p_equal_one_keeps_whole_w_side():
     host = _complete_bipartite(640, 40)
     cfg = ZoomConfig.for_instance(host, r=1, h=2, seed=7)
     vm, stats = _random_zoom_stats(host, ARC, cfg)
-    assert stats["p"] == 1.0 and stats["w_sampled"] == 40
+    assert stats == {"p": 1.0, "retries": 1, "w_sampled": 40, "u_kept": 640}
     assert verify_bipartite_embedding(host, ARC, vm)
 
 
