@@ -29,18 +29,26 @@ stays out of the cells and its digit ends every row.
 
 Enumeration extends one representative per (k-1)-vertex class by one vertex
 (McKay's canonical augmentation).  Each way to join the new vertex is one int
-x_out | x_in << k (its out- and in-neighbours), listed densest first; the exo
-oracle decides the whole list at once, with the bitsets over its positions
-that ExtensionSets holds.  A child is kept only if its new vertex x lies in
-the orbit of a deletion vertex chosen from the child's isomorphism class
-alone.  Every vertex gets the invariant (degree, out-degree, sum of its
+x_out | x_in << k (its out- and in-neighbours), listed densest first, so the
+2^k tournament extensions lead the list.  Enumeration and the exo oracle
+decide the whole list at once, with the bitsets over its positions that
+ExtensionSets holds.  A child is kept only if its new vertex x lies in the
+orbit of a deletion vertex chosen from the child's isomorphism class alone.
+Every vertex gets the invariant (degree, out-degree, sum of its
 out-neighbours' out-degrees), and the deletion orbit is, among the vertices
 with the largest invariant, the one whose pinned-last code is smallest; two
-vertices share an orbit exactly when their pinned-last codes are equal.  So a
-child whose x lacks the largest invariant is rejected with no search (most
-are); otherwise one pinned search gives x's pinned-last code, and a stop-early
-probe seeded with it, pinning each other top-invariant vertex, rejects the
-child if it finds a smaller one.  The pinned-last digits of (child, x) are a
+vertices share an orbit exactly when their pinned-last codes are equal (the
+oracle keeps one deletion of its pattern per orbit that way).  So a child
+whose x lacks the largest invariant is rejected with no search (most are),
+and the first field of the invariant rejects many on the parent's degrees
+alone: with D the parent's largest degree, an x with fewer than D arcs, or
+with exactly D arcs one of which lifts a degree-D vertex to D + 1, leaves
+some vertex above x.  The per-parent filter _dropped cuts those positions as
+bitsets, together with the images of earlier positions under swaps of false
+twins, before any child is built.  For a surviving child one pinned search
+gives x's pinned-last code, and a stop-early probe seeded with it, pinning
+each other top-invariant vertex, rejects the child if it finds a smaller
+one.  The pinned-last digits of (child, x) are a
 complete invariant of the pair: they deduplicate siblings (two extension
 patterns can be automorphic images of each other) and, read back as masks,
 give the child's representative for the next level.  Every class is then
@@ -210,6 +218,13 @@ def _min_digits(out: tuple[int, ...], n: int) -> bytes:
     return bytes(best)
 
 
+def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int) -> bytearray:
+    """The minimum code over the labellings that put vertex n-1 last."""
+    best = _identity_digits(out, n)
+    _search(out, ins, n, best, n - 1, stop_early=False)
+    return best
+
+
 def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
     """Canonical-augmentation acceptance for a child whose new vertex is n-1.
 
@@ -235,8 +250,7 @@ def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
     top = inv[x]
     if max(inv) > top:
         return None
-    best = _identity_digits(out, n)
-    _search(out, ins, n, best, x, stop_early=False)
+    best = _last_pinned_digits(out, ins, n)
     for w in range(x):
         if inv[w] == top and _search(out, ins, n, bytearray(best), w, stop_early=True):
             return None
@@ -345,29 +359,29 @@ def automorphism_order(g: OrientedGraph) -> int:
 
 # --- isomorph-free generation -------------------------------------------------
 
-_EXTENSIONS: dict[tuple[int, bool], list[int]] = {}
+_EXTENSIONS: dict[int, list[int]] = {}
 
 
-def _extensions(k: int, tournament: bool) -> list[int]:
+def _extensions(k: int) -> list[int]:
     """Ways to join a new vertex x to k old ones, as x_out | x_in << k.
 
     x points to the old vertices in x_out and receives arcs from those in
     x_in.  Read per old vertex u as a state (0 none, 1 u->x, 2 x->u), the list
-    is sorted by (number of 0 states, state tuple): densest first.
+    is sorted by (number of 0 states, state tuple): densest first.  So the
+    2^k ways that make a tournament of a tournament come first.
     """
-    key = (k, tournament)
-    if key not in _EXTENSIONS:
-        states = itertools.product((1, 2) if tournament else (0, 1, 2), repeat=k)
-        _EXTENSIONS[key] = [
+    if k not in _EXTENSIONS:
+        states = itertools.product((0, 1, 2), repeat=k)
+        _EXTENSIONS[k] = [
             sum(1 << u + (s == 1) * k for u, s in enumerate(st) if s)
             for st in sorted(states, key=lambda st: (st.count(0), st))
         ]
-    return _EXTENSIONS[key]
+    return _EXTENSIONS[k]
 
 
 @dataclass(frozen=True)
 class ExtensionSets:
-    """Sets of positions in _extensions(k, False) as ints: bit p stands for
+    """Sets of positions in _extensions(k) as ints: bit p stands for
     the p-th extension, so one big-int operation acts on all 3^k of them.
 
     lanes[b] holds the extensions whose int has bit b.  prefix[t], for
@@ -423,6 +437,54 @@ def _extension_sets(k: int) -> ExtensionSets:
     return _EXTENSION_SETS[k]
 
 
+def _twin_images(masks: Sequence[int], ins: Sequence[int],
+                 greater: dict[tuple[int, int], int]) -> int:
+    """The positions of the extensions that an automorphism of the parent maps
+    to an earlier-listed one, as found by swapping false twins.
+
+    Swapping false twins u < w (equal out- and in-masks) is an automorphism,
+    so an extension whose state at u exceeds its state at w has the same
+    child, up to an isomorphism fixing the new vertex, as the extension with
+    the two states swapped, which is listed earlier.  accept_child gives both
+    the same answer, so the later one adds no class that seen lacks.
+    Comparing each twin with the previous member of its class drops the same
+    positions as comparing every pair.
+    """
+    twins = 0
+    previous: dict[tuple[int, int], int] = {}
+    for w, shape in enumerate(zip(masks, ins)):
+        u = previous.get(shape)
+        if u is not None:
+            twins |= greater[u, w]
+        previous[shape] = w
+    return twins
+
+
+def _dropped(masks: Sequence[int], ins: Sequence[int], sets: ExtensionSets) -> int:
+    """The positions of the extensions of a k-vertex parent that add no class
+    an earlier position does not already add, as a bitset (possibly negative:
+    every position from some point on).
+
+    Besides the twin images, the degree cut drops the children whose new
+    vertex x lacks the largest degree, which accept_child rejects first.  With
+    D the parent's largest degree, those are every x with fewer than D arcs,
+    and every x with exactly D arcs that touches a vertex of degree D (which
+    it lifts to D + 1).
+    """
+    k = len(masks)
+    lanes, prefix = sets.lanes, sets.prefix
+    degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
+    top = max(degs, default=0)
+    touched = 0
+    for v, d in enumerate(degs):
+        if d == top:
+            touched |= lanes[v] | lanes[v + k]
+    # positions from prefix[top] on have fewer than top arcs; those from
+    # prefix[top + 1] to there have exactly top
+    cut = -1 << prefix[top] | touched & ~((1 << prefix[top + 1]) - 1)
+    return cut | _twin_images(masks, ins, sets.greater)
+
+
 def extend_masks(masks: tuple[int, ...], x: int) -> tuple[int, ...]:
     """The parent's out-masks plus a new vertex k joined by extension x."""
     k = len(masks)
@@ -445,11 +507,18 @@ def canonical_children(
 
     The parent may be any representative of its class; children are
     deduplicated within the parent (automorphic extension patterns collide).
+    A tournament parent takes only the first 2^k extensions, those with an
+    arc to every old vertex.
     """
+    exts = _extensions(k)
+    sets = _extension_sets(k)
+    window = sets.prefix[k] if tournament else len(exts)
+    live = (1 << window) - 1 & ~_dropped(masks, _in_masks(masks, k), sets)
     seen: set[bytes] = set()
-    for x in _extensions(k, tournament):
-        child = extend_masks(masks, x)
-        code = accept_child(child, k + 1)
+    while live:
+        low = live & -live
+        live ^= low
+        code = accept_child(extend_masks(masks, exts[low.bit_length() - 1]), k + 1)
         if code is None or code in seen:
             continue
         seen.add(code)

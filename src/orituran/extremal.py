@@ -7,13 +7,16 @@ with a branch-and-bound cutoff, and is seeded with a verified F-free
 construction when one applies.  A child P + x of an F-free parent P contains F
 exactly when P holds a copy phi of some F - u with phi(N+(u)) inside x's
 out-set and phi(N-(u)) inside its in-set (one-vertex extension by feasible
-neighbourhoods, McKay & Radziszowski, R(4,5) = 25).  Each parent decides its
-3^k extensions at once, as bitsets over their positions in the extension
-list: the bound admits a prefix of the list, each such pair forbids the AND
-of its lane masks, and each pair of false twins in P drops the extensions
-that an automorphism of P maps to an earlier-listed one (symmetry pruning
-of the extension set, McKay, Isomorph-free exhaustive generation,
-J. Algorithms 26 (1998)).  Only the survivors are tested canonically.
+neighbourhoods, McKay & Radziszowski, R(4,5) = 25); u ranges over one vertex
+per orbit of Aut(F), since an orbit's vertices give the same pairs.  Each
+parent decides its 3^k extensions at once, as bitsets over their positions in
+the extension list: the bound admits a prefix of the list, each such pair
+forbids the AND of its lane masks, each pair of false twins in P drops the
+extensions that an automorphism of P maps to an earlier-listed one
+(symmetry pruning of the extension set, McKay, Isomorph-free exhaustive
+generation, J. Algorithms 26 (1998)), and a degree cut drops those whose new
+vertex would lack the child's largest degree.  Only the survivors are tested
+canonically.
 """
 
 from __future__ import annotations
@@ -25,9 +28,11 @@ from typing import Iterable, NoReturn, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
+    _dropped,
     _extension_sets,
     _extensions,
     _in_masks,
+    _last_pinned_digits,
     _min_digits,
     accept_child,
     canonical_code,
@@ -467,12 +472,23 @@ class ExtremalRecord:
 
 
 def _deletions(f: OrientedGraph) -> list[SearchPlan]:
-    """A copy-search plan of F - u for each vertex u of F.  It marks u's
-    out-neighbours with lane 1 and its in-neighbours with lane 2, so in a
-    k-vertex host each copy phi has the key phi(N+(u)) | phi(N-(u)) << k."""
+    """A copy-search plan of F - u for one vertex u of each orbit of Aut(F).
+    It marks u's out-neighbours with lane 1 and its in-neighbours with lane 2,
+    so in a k-vertex host each copy phi has the key
+    phi(N+(u)) | phi(N-(u)) << k.
+
+    Vertices of one orbit give the same keys.  Two vertices share an orbit
+    exactly when F's minimum codes with each pinned last are equal.
+    """
     plans = []
+    orbits: set[bytes] = set()
     for u in range(f.n):
         rest = [v for v in range(f.n) if v != u]
+        last = f.induced(rest + [u])
+        code = bytes(_last_pinned_digits(last.out, last.in_masks, f.n))
+        if code in orbits:
+            continue
+        orbits.add(code)
         marks = {i: 1 + (f.in_masks[u] >> v & 1) for i, v in enumerate(rest)
                  if (f.out[u] | f.in_masks[u]) >> v & 1}
         plans.append(SearchPlan(f.induced(rest), injective=True, marks=marks))
@@ -517,29 +533,6 @@ def _forbidden(keys: Iterable[int], lanes: tuple[int, ...], covers: dict[int, in
     return forbidden
 
 
-def _twin_images(masks: tuple[int, ...], ins: list[int],
-                 greater: dict[tuple[int, int], int]) -> int:
-    """The positions of the extensions that an automorphism of the parent maps
-    to an earlier-listed one, as found by swapping false twins.
-
-    Swapping false twins u < w (equal out- and in-masks) is an automorphism,
-    so an extension whose state at u exceeds its state at w has the same
-    child, up to an isomorphism fixing the new vertex, as the extension with
-    the two states swapped, which is listed earlier.  accept_child gives both
-    the same answer, so the later one adds no class that seen lacks.
-    Comparing each twin with the previous member of its class drops the same
-    positions as comparing every pair.
-    """
-    twins = 0
-    previous: dict[tuple[int, int], int] = {}
-    for w, shape in enumerate(zip(masks, ins)):
-        u = previous.get(shape)
-        if u is not None:
-            twins |= greater[u, w]
-        previous[shape] = w
-    return twins
-
-
 def _run_levels(
     n: int,
     deletions: list[SearchPlan],
@@ -558,12 +551,14 @@ def _run_levels(
     Ties at the final level keep the smallest canonical digit string.
 
     Each parent's extensions are decided together as bitsets over their
-    positions in _extensions(k, False).  Those the bound lets through form a
+    positions in _extensions(k).  Those the bound lets through form a
     window at the front of the list (it is ordered densest first); nodes
     counts the window whole, as if each extension in it were examined in
-    turn.  Only the survivors, which complete no copy of F and are no twin
-    image of an earlier extension, reach the canonical test.  A budget that
-    runs out inside a window stops the run where that walk would stop.
+    turn.  Only the survivors, which pass the degree cut, are no twin image
+    of an earlier extension and complete no copy of F, reach the canonical
+    test; a parent whose window the first two empty needs no copy search.
+    A budget that runs out inside a window stops the run where that walk
+    would stop.
     """
     pairs_total = n * (n - 1) // 2
     nodes = 0
@@ -572,7 +567,7 @@ def _run_levels(
         cap_parent = pairs_total - k * (k - 1) // 2
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
-        exts = _extensions(k, False)
+        exts = _extensions(k)
         sets = _extension_sets(k)
         prefix = sets.prefix
         covers: dict[int, int] = {}
@@ -588,8 +583,9 @@ def _run_levels(
             else:
                 live = (1 << window) - 1
             ins = _in_masks(masks, k)
-            live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
-            live &= ~_twin_images(masks, ins, sets.greater)
+            live &= ~_dropped(masks, ins, sets)
+            if live:
+                live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
             seen: set[bytes] = set()
             while live:
                 low = live & -live

@@ -135,6 +135,9 @@ class SearchPlan:
         k, n = self.n, len(out)
         if self.injective and k > n:
             return None
+        img = [0] * k
+        if not k:
+            return img if on_leaf is None or on_leaf(img, 0) else None
         out_deg = [m.bit_count() for m in out]
         in_deg = [m.bit_count() for m in ins]
         cand0 = [sum(1 << v for v in range(n) if out_deg[v] >= od and in_deg[v] >= idg)
@@ -144,12 +147,22 @@ class SearchPlan:
         unit = int(self.injective)
         lift = [unit | (1 << lane * n if lane else 0) for lane in self.lanes]
         to_out, to_in = self.to_out, self.to_in
-        img = [0] * k
+        last = k - 1
+        # the last step's image goes into the key at low * leaf_lift
+        leaf_lift = lift[last] >> n
 
         def dfs(i: int, cands: list[int], taken: int) -> bool:
-            if i == k:
-                return on_leaf is None or on_leaf(img, taken >> n)
             m = cands[i] & ~taken
+            if i == last:
+                # the last step filters no later one: its candidates are the leaves
+                key = taken >> n
+                while m:
+                    low = m & -m
+                    m ^= low
+                    img[i] = low.bit_length() - 1
+                    if on_leaf is None or on_leaf(img, key | low * leaf_lift):
+                        return True
+                return False
             while m:
                 low = m & -m
                 m ^= low

@@ -17,17 +17,22 @@ from hypothesis import strategies as st
 
 from orituran.canon import (
     CanonicalCode,
+    _dropped,
     _extension_sets,
     _extensions,
+    _in_masks,
     _min_digits,
+    _twin_images,
     accept_child,
     automorphism_order,
+    canonical_children,
     canonical_code,
     enumerate_oriented_graphs,
     enumerate_tournaments,
     extend_masks,
     is_canonical,
     is_isomorphic,
+    masks_from_digits,
 )
 from orituran.graphs import InvariantError, OrientedGraph, TooLargeError
 
@@ -349,8 +354,9 @@ def _extend_by_state(masks, state):
 @pytest.mark.parametrize("tournament", [False, True])
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_extensions_match_the_state_rule(k, tournament):
+    # a tournament parent takes the first 2^k extensions, those with k arcs
     states = _state_rule(k, tournament)
-    xs = _extensions(k, tournament)
+    xs = _extensions(k)[:_extension_sets(k).prefix[k]] if tournament else _extensions(k)
     assert len(xs) == len(states)
     # every labelled parent; the empty one alone already pins order and sides
     parents = [g.out for g in _all_labelled(k)]
@@ -441,7 +447,7 @@ def test_enumeration_cap():
 
 def test_extension_sets_match_the_extension_list():
     for k in range(7):
-        xs = _extensions(k, False)
+        xs = _extensions(k)
         sets = _extension_sets(k)
 
         def positions(test):
@@ -459,3 +465,69 @@ def test_extension_sets_match_the_extension_list():
             (u, w): positions(lambda x, u=u, w=w: state(x, u) > state(x, w))
             for u in range(k) for w in range(u + 1, k)
         }
+
+
+# --- the per-parent filter of the extension list ----------------------------------
+
+
+def _state_int(state, k):
+    return sum(1 << u + (s == 1) * k for u, s in enumerate(state) if s)
+
+
+def test_tournament_extensions_lead_the_list():
+    for k in range(1, 7):
+        assert _extensions(k)[:_extension_sets(k).prefix[k]] == [
+            _state_int(state, k) for state in _state_rule(k, True)
+        ]
+
+
+def _degree_cut(masks, k):
+    """Positions whose child leaves some old vertex of larger degree than the
+    new one, read off each child's degrees."""
+    ins = _in_masks(masks, k)
+    degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
+    cut = 0
+    for p, x in enumerate(_extensions(k)):
+        grown = [d + (x >> v & 1 | x >> v + k & 1) for v, d in enumerate(degs)]
+        if max(grown, default=0) > x.bit_count():
+            cut |= 1 << p
+    return cut
+
+
+# p_arc 1.0 draws tournaments, 0.0 the empty graph
+_PARENTS = (st.integers(1, 6), st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=120)
+@given(*_PARENTS)
+def test_degree_cut_drops_only_rejected_children(k, p_arc, seed):
+    parent = _random_graph(random.Random(seed), k, p_arc)
+    ins = _in_masks(parent.out, k)
+    sets = _extension_sets(k)
+    cut = _degree_cut(parent.out, k)
+    twins = _twin_images(parent.out, ins, sets.greater)
+    assert _dropped(parent.out, ins, sets) & (1 << 3 ** k) - 1 == cut | twins
+    for p, x in enumerate(_extensions(k)):
+        if cut >> p & 1:
+            assert accept_child(extend_masks(parent.out, x), k + 1) is None, (parent, x)
+
+
+def _reference_children(masks, k, tournament):
+    """canonical_children as one accept_child call per listed extension."""
+    seen = set()
+    for state in _state_rule(k, tournament):
+        code = accept_child(extend_masks(masks, _state_int(state, k)), k + 1)
+        if code is None or code in seen:
+            continue
+        seen.add(code)
+        yield masks_from_digits(code, k + 1), code
+
+
+@settings(max_examples=100)
+@given(*_PARENTS)
+def test_canonical_children_match_the_per_extension_loop(k, p_arc, seed):
+    parent = _random_graph(random.Random(seed), k, p_arc)
+    for tournament in (False, True) if p_arc == 1.0 else (False,):
+        assert list(canonical_children(parent.out, k, tournament)) == list(
+            _reference_children(parent.out, k, tournament)
+        )

@@ -32,7 +32,7 @@ from orituran.extremal import (
     verify_against_formula,
 )
 from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, VertexCapError
-from orituran.homomorphism import EmptyPatternError
+from orituran.homomorphism import EmptyPatternError, SearchPlan
 
 
 def _all_labelled(n):
@@ -286,7 +286,7 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
                 continue
             seen = set()
             keys = None
-            for x in _extensions(k, False):
+            for x in _extensions(k):
                 child_arcs = arcs + x.bit_count()
                 if last:
                     if child_arcs < best:
@@ -342,6 +342,70 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
         want = _reference_levels(*start, budget, n)
         assert extremal._run_levels(*start, budget, n) == want, budget
         assert want[3] == (budget < full[2])
+
+
+# --- one deletion plan per orbit of Aut(F) ----------------------------------------
+
+_SMALL_NAMED = [
+    "dpath3", "dpath4", "dpath5", "dcycle3", "dcycle4", "dcycle5", "dcycle6", "ttour3",
+    "ttour4", "ttour5", "star:1,1", "star:1,2", "star:0,2", "star:2,0", "star:0,3",
+    "star:2,2", "star:1,4", "matching2", "matching3", "adpath3", "adpath4", "adpath5",
+    "adpath6", "oc4", "prop23", "prop23m", "p3plusarc", "thm32",
+]
+
+
+def _random_patterns(count):
+    rng = random.Random(30)
+    patterns = []
+    while len(patterns) < count:
+        k = rng.randint(2, 6)
+        pairs = list(itertools.combinations(range(k), 2))
+        chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+        patterns.append(OrientedGraph.from_arcs(
+            k, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen]))
+    return patterns
+
+
+def _orbit_count(f):
+    """Vertex orbits of Aut(f), by brute force over permutations."""
+    autos = [perm for perm in itertools.permutations(range(f.n))
+             if all(f.has_arc(perm[u], perm[v]) for u, v in f.arcs())]
+    return len({frozenset(perm[u] for perm in autos) for u in range(f.n)})
+
+
+def _plan_per_vertex(f):
+    """The deletion plans before orbits were merged: one for every vertex."""
+    plans = []
+    for u in range(f.n):
+        rest = [v for v in range(f.n) if v != u]
+        marks = {i: 1 + (f.in_masks[u] >> v & 1) for i, v in enumerate(rest)
+                 if (f.out[u] | f.in_masks[u]) >> v & 1}
+        plans.append(SearchPlan(f.induced(rest), injective=True, marks=marks))
+    return plans
+
+
+def test_deletions_keep_one_plan_per_orbit():
+    named = [PatternSpec.parse(token).graph for token in _SMALL_NAMED]
+    assert all(f.n <= 6 for f in named)
+    for f in named + _random_patterns(30):
+        assert len(extremal._deletions(f)) == _orbit_count(f), sorted(f.arcs())
+    counts = {t: len(extremal._deletions(PatternSpec.parse(t).graph))
+              for t in ("star:1,2", "matching2", "star:0,3", "matching3")}
+    assert counts == {"star:1,2": 3, "matching2": 2, "star:0,3": 2, "matching3": 2}
+
+
+@given(st.sampled_from(_SMALL_NAMED), st.integers(1, 6), st.sampled_from([0.2, 0.5, 0.9]),
+       st.integers(0, 2**32 - 1))
+def test_orbit_plans_find_the_keys_of_every_vertex(token, k, p_arc, seed):
+    f = PatternSpec.parse(token).graph
+    rng = random.Random(seed)
+    arcs = [(i, j) if rng.random() < 0.5 else (j, i)
+            for i, j in itertools.combinations(range(k), 2) if rng.random() < p_arc]
+    parent = OrientedGraph.from_arcs(k, arcs)
+    ins = _in_masks(parent.out, k)
+    assert extremal._copy_keys(parent.out, ins, k, extremal._deletions(f)) == (
+        extremal._copy_keys(parent.out, ins, k, _plan_per_vertex(f))
+    )
 
 
 def test_oracle_accepts_raw_graph():

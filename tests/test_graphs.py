@@ -1,8 +1,11 @@
 """Core graph values: construction invariants, codec, degree bookkeeping."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orituran.graphs import (
     AntiparallelArcError,
@@ -126,6 +129,45 @@ def test_undirected_codec():
         decode_undirected("4\n0 1\n")
     with pytest.raises(LoopArcError):
         decode_undirected("undirected\n3\n2 2\n")
+
+
+@st.composite
+def _graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    digits = draw(st.lists(st.integers(0, 2), min_size=len(pairs), max_size=len(pairs)))
+    return OrientedGraph.from_arcs(
+        n, [(i, j) if d == 1 else (j, i) for (i, j), d in zip(pairs, digits) if d]
+    )
+
+
+@given(_graphs())
+def test_og_round_trip(g):
+    assert decode(encode(g)) == g
+
+
+@given(_graphs(), st.data())
+def test_og_encoding_is_stable_under_comments_blanks_and_arc_order(g, data):
+    arcs = data.draw(st.permutations([f"{u} {v}" for u, v in g.arcs()]))
+    noise = st.sampled_from(["", "   ", "# note", "  # indented note", "#"])
+    lines = data.draw(st.lists(noise, max_size=3)) + [f" {g.n} "]
+    for arc in arcs:
+        lines += data.draw(st.lists(noise, max_size=2)) + [arc]
+    text = "\n".join(lines) + data.draw(st.sampled_from(["", "\n", "\n\n# end\n"]))
+    assert encode(decode(text)) == encode(g)
+    assert encode(decode(encode(decode(text)))) == encode(decode(text))
+
+
+@given(st.integers(2, 12), st.data())
+def test_decode_undirected_sorts_and_deduplicates(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=30))
+    written = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    text = "undirected\n# host\n" + f"{n}\n" + "".join(f"{u} {v}\n\n" for u, v in written)
+    got_n, got = decode_undirected(text)
+    assert got_n == n
+    assert got == tuple(sorted(set(edges)))
+    assert decode_undirected(encode_undirected(n, got)) == (n, got)
 
 
 def test_bipartite_basicstructure():

@@ -1,14 +1,18 @@
 """Homomorphism search and the compressibility invariant."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orituran.canon import enumerate_tournaments
 from orituran.extremal import PatternSpec
 from orituran.graphs import OrientedGraph, TooLargeError
 from orituran.homomorphism import (
     EmptyPatternError,
+    SearchPlan,
     VertexMap,
     compressibility,
     has_directed_cycle,
@@ -137,3 +141,95 @@ def test_compressibility_empty_pattern_rejected():
 def test_compressibility_cap():
     with pytest.raises(TooLargeError):
         compressibility(PatternSpec.parse("dpath8").graph)
+
+
+# --- the leaf path of SearchPlan.search -----------------------------------------
+
+
+def _reference_search(plan, out, ins, on_leaf=None):
+    """SearchPlan.search as one recursive call, and one candidate-list copy,
+    per leaf."""
+    k, n = plan.n, len(out)
+    if plan.injective and k > n:
+        return None
+    cand0 = [sum(1 << v for v in range(n)
+                 if out[v].bit_count() >= od and ins[v].bit_count() >= idg)
+             for od, idg in plan.needs]
+    lift = [int(plan.injective) | (1 << lane * n if lane else 0) for lane in plan.lanes]
+    img = [0] * k
+
+    def dfs(i, cands, taken):
+        if i == k:
+            return on_leaf is None or on_leaf(img, taken >> n)
+        m = cands[i] & ~taken
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            t = taken | low * lift[i]
+            new = cands[:]
+            for j in plan.to_out[i]:
+                new[j] &= out[v]
+            for j in plan.to_in[i]:
+                new[j] &= ins[v]
+            if all(new[j] & ~t for j in (*plan.to_out[i], *plan.to_in[i])):
+                img[i] = v
+                if dfs(i + 1, new, t):
+                    return True
+        return False
+
+    return img if all(cand0) and dfs(0, cand0, 0) else None
+
+
+def _random_oriented(rng, n, p_arc):
+    return OrientedGraph.from_arcs(n, [
+        (i, j) if rng.random() < 0.5 else (j, i)
+        for i, j in itertools.combinations(range(n), 2) if rng.random() < p_arc
+    ])
+
+
+def _leaves(search, plan, host, stop_at):
+    """(leaves seen, result) of one search whose on_leaf stops at leaf stop_at."""
+    seen = []
+
+    def on_leaf(img, key):
+        seen.append((list(img), key))
+        return len(seen) == stop_at
+
+    found = search(plan, host.out, host.in_masks, on_leaf)
+    return seen, None if found is None else list(found)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, 4), st.integers(0, 6), st.sampled_from([0.3, 0.6, 1.0]),
+    st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+)
+def test_leaves_in_place_match_the_recursive_search(k, n, p_arc, injective, marked, seed):
+    rng = random.Random(seed)
+    pattern = _random_oriented(rng, k, rng.random())
+    marks = {u: rng.choice((0, 1, 2)) for u in range(k)} if marked else None
+    plan = SearchPlan(pattern, injective, marks)
+    host = _random_oriented(rng, n, p_arc)
+    first = plan.search(host.out, host.in_masks)
+    want = _reference_search(plan, host.out, host.in_masks)
+    assert (None if first is None else list(first)) == want
+    for stop_at in (0, 1, 3):  # 0 never stops
+        got = _leaves(SearchPlan.search, plan, host, stop_at)
+        assert got == _leaves(_reference_search, plan, host, stop_at)
+
+
+def test_plans_of_zero_and_one_vertex():
+    empty, point = OrientedGraph.empty(0), OrientedGraph.empty(1)
+    host = _c3()
+    for injective in (True, False):
+        assert SearchPlan(empty, injective).search(host.out, host.in_masks) == []
+        assert SearchPlan(empty, injective).search((), ()) == []
+        assert _leaves(SearchPlan.search, SearchPlan(empty, injective), host, 0) == ([([], 0)], None)
+        plan = SearchPlan(point, injective, {0: 2})
+        assert plan.search(host.out, host.in_masks) == [0]
+        assert plan.search((), ()) is None
+        # the point's image is marked in lane 2, bits 3..5 of a 3-vertex host's key
+        assert _leaves(SearchPlan.search, plan, host, 3) == (
+            [([0], 0b1000), ([1], 0b10000), ([2], 0b100000)], [2]
+        )
