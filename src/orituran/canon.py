@@ -30,10 +30,11 @@ stays out of the cells and its digit ends every row.
 Enumeration extends one representative per (k-1)-vertex class by one vertex
 (McKay's canonical augmentation).  Each way to join the new vertex is one int
 x_out | x_in << k (its out- and in-neighbours), listed densest first, so the
-2^k tournament extensions lead the list.  Enumeration and the exo oracle
-decide the whole list at once, with the bitsets over its positions that
-ExtensionSets holds.  A child is kept only if its new vertex x lies in the
-orbit of a deletion vertex chosen from the child's isomorphism class alone.
+2^k tournament extensions lead the list.  ExtensionSets holds that list,
+built once per k, and the bitsets over its positions with which enumeration
+and the exo oracle decide the whole list at once.  A child is kept only if
+its new vertex x lies in the orbit of a deletion vertex chosen from the
+child's isomorphism class alone.
 Every vertex gets the invariant (degree, out-degree, sum of its
 out-neighbours' out-degrees), and the deletion orbit is, among the vertices
 with the largest invariant, the one whose pinned-last code is smallest; two
@@ -71,7 +72,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import InvariantError, OrientedGraph, TooLargeError
+from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 
 MAX_CODE_VERTICES = 10
 MAX_ENUM_VERTICES = 7
@@ -92,17 +93,6 @@ def _identity_digits(out: tuple[int, ...], n: int) -> bytearray:
                 d[p] = 2
             p += 1
     return d
-
-
-def _in_masks(out: tuple[int, ...], n: int) -> list[int]:
-    ins = [0] * n
-    for u in range(n):
-        m = out[u]
-        while m:
-            low = m & -m
-            ins[low.bit_length() - 1] |= 1 << u
-            m ^= low
-    return ins
 
 
 def _search(
@@ -297,19 +287,10 @@ class CanonicalCode:
     def to_graph(self) -> OrientedGraph:
         if len(self.digits) != self.n * (self.n - 1) // 2:
             raise InvariantError(f"code digit count does not match n={self.n}")
-        arcs = []
-        p = 0
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = self.digits[p]
-                p += 1
-                if d == "1":
-                    arcs.append((i, j))
-                elif d == "2":
-                    arcs.append((j, i))
-                elif d != "0":
-                    raise InvariantError(f"bad digit {d!r} in code")
-        return OrientedGraph.from_arcs(self.n, arcs)
+        bad = self.digits.lstrip("012")
+        if bad:
+            raise InvariantError(f"bad digit {bad[0]!r} in code")
+        return OrientedGraph(self.n, masks_from_digits(bytes(map(int, self.digits)), self.n))
 
 
 def canonical_code(g: OrientedGraph) -> CanonicalCode:
@@ -359,30 +340,17 @@ def automorphism_order(g: OrientedGraph) -> int:
 
 # --- isomorph-free generation -------------------------------------------------
 
-_EXTENSIONS: dict[int, list[int]] = {}
-
-
-def _extensions(k: int) -> list[int]:
-    """Ways to join a new vertex x to k old ones, as x_out | x_in << k.
-
-    x points to the old vertices in x_out and receives arcs from those in
-    x_in.  Read per old vertex u as a state (0 none, 1 u->x, 2 x->u), the list
-    is sorted by (number of 0 states, state tuple): densest first.  So the
-    2^k ways that make a tournament of a tournament come first.
-    """
-    if k not in _EXTENSIONS:
-        states = itertools.product((0, 1, 2), repeat=k)
-        _EXTENSIONS[k] = [
-            sum(1 << u + (s == 1) * k for u, s in enumerate(st) if s)
-            for st in sorted(states, key=lambda st: (st.count(0), st))
-        ]
-    return _EXTENSIONS[k]
-
-
 @dataclass(frozen=True)
 class ExtensionSets:
-    """Sets of positions in _extensions(k) as ints: bit p stands for
-    the p-th extension, so one big-int operation acts on all 3^k of them.
+    """The ways to join a new vertex x to k old ones, and sets of their
+    positions as ints: bit p stands for the p-th extension, so one big-int
+    operation acts on all 3^k of them.
+
+    exts lists the extensions as ints x_out | x_in << k: x points to the old
+    vertices in x_out and receives arcs from those in x_in.  Read per old
+    vertex u as a state (0 none, 1 u->x, 2 x->u), the list is sorted by
+    (number of 0 states, state tuple): densest first.  So the 2^k ways that
+    make a tournament of a tournament come first.
 
     lanes[b] holds the extensions whose int has bit b.  prefix[t], for
     t = 0..k+1, counts the extensions with at least t arcs; they are the
@@ -390,6 +358,7 @@ class ExtensionSets:
     state at u exceeds their state at w.
     """
 
+    exts: tuple[int, ...]
     lanes: tuple[int, ...]
     prefix: tuple[int, ...]
     greater: dict[tuple[int, int], int]
@@ -400,40 +369,43 @@ _EXTENSION_SETS: dict[int, ExtensionSets] = {}
 
 def _extension_sets(k: int) -> ExtensionSets:
     if k not in _EXTENSION_SETS:
-        # groups[z]: (size, twos, ones) over the state tuples of length j with
-        # z zeros in ascending order, where twos[u] and ones[u] hold the
-        # tuples with state 2 and 1 at u.  In that order such a tuple is a 0
-        # and a tuple with z - 1 zeros, then a 1 and one with z zeros, then a
-        # 2 and one with z zeros.
-        groups = [(1, (), ())]
+        # groups[z]: (exts, twos, ones) over the state tuples of length j
+        # with z zeros in ascending order: their extension ints, and in
+        # twos[u] and ones[u] the tuples with state 2 and 1 at u.  In that
+        # order such a tuple is a 0 and a tuple with z - 1 zeros, then a 1
+        # and one with z zeros, then a 2 and one with z zeros.
+        groups = [([0], (), ())]
         for j in range(1, k + 1):
-            none = (0, (0,) * (j - 1), (0,) * (j - 1))
+            # the state put first at step j is that of old vertex k - j;
+            # state 1 (u -> x) sets bit u + k, state 2 (x -> u) bit u
+            bit = 1 << k - j
+            none = ([], (0,) * (j - 1), (0,) * (j - 1))
             grown = []
             for z in range(j + 1):
-                la, a2, a1 = groups[z - 1] if z else none
-                lb, b2, b1 = groups[z] if z < j else none
+                ea, a2, a1 = groups[z - 1] if z else none
+                eb, b2, b1 = groups[z] if z < j else none
+                la, lb = len(ea), len(eb)
                 run = (1 << lb) - 1
                 twos = (run << la + lb, *(a | b << la | b << la + lb for a, b in zip(a2, b2)))
                 ones = (run << la, *(a | b << la | b << la + lb for a, b in zip(a1, b1)))
-                grown.append((la + 2 * lb, twos, ones))
+                exts = ea + [e | bit << k for e in eb] + [e | bit for e in eb]
+                grown.append((exts, twos, ones))
             groups = grown
-        # _extensions lists the groups by number of zeros
-        twos, ones = [0] * k, [0] * k
+        # the list holds the groups by number of zeros
+        exts, twos, ones = [], [0] * k, [0] * k
         prefix = [0] * (k + 2)
-        offset = 0
-        for z, (size, g2, g1) in enumerate(groups):
+        for z, (g, g2, g1) in enumerate(groups):
             for u in range(k):
-                twos[u] |= g2[u] << offset
-                ones[u] |= g1[u] << offset
-            offset += size
-            prefix[k - z] = offset
+                twos[u] |= g2[u] << len(exts)
+                ones[u] |= g1[u] << len(exts)
+            exts += g
+            prefix[k - z] = len(exts)
         greater = {
             (u, w): twos[u] & ~twos[w] | ones[u] & ~(ones[w] | twos[w])
             for u in range(k)
             for w in range(u + 1, k)
         }
-        # state 2 (x -> u) sets bit u, state 1 (u -> x) bit u + k
-        _EXTENSION_SETS[k] = ExtensionSets(tuple(twos + ones), tuple(prefix), greater)
+        _EXTENSION_SETS[k] = ExtensionSets(tuple(exts), tuple(twos + ones), tuple(prefix), greater)
     return _EXTENSION_SETS[k]
 
 
@@ -510,8 +482,8 @@ def canonical_children(
     A tournament parent takes only the first 2^k extensions, those with an
     arc to every old vertex.
     """
-    exts = _extensions(k)
     sets = _extension_sets(k)
+    exts = sets.exts
     window = sets.prefix[k] if tournament else len(exts)
     live = (1 << window) - 1 & ~_dropped(masks, _in_masks(masks, k), sets)
     seen: set[bytes] = set()

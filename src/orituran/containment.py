@@ -50,8 +50,9 @@ def contains_copy_through(
         return None
     if not 0 <= through < host.n:
         raise ValueError(f"vertex {through} out of range")
-    found = find_map(pattern, host, True, on_leaf=lambda m: through in m.values())
-    return None if found is None else VertexMap.of(pattern.n, host.n, found)
+    plan = SearchPlan(pattern, injective=True)
+    found = plan.search(host.out, host.in_masks, lambda img, _key: through in img)
+    return None if found is None else VertexMap.of(pattern.n, host.n, dict(zip(plan.order, found)))
 
 
 def is_free(host: OrientedGraph, pattern: OrientedGraph) -> bool:

@@ -30,8 +30,6 @@ from .canon import (
     MAX_CODE_VERTICES,
     _dropped,
     _extension_sets,
-    _extensions,
-    _in_masks,
     _last_pinned_digits,
     _min_digits,
     accept_child,
@@ -41,17 +39,21 @@ from .canon import (
 )
 # contains_copy_through is unused here; bench/layers.py rebinds it until the stats channel lands
 from .containment import contains_copy_through, is_free
-from .graphs import GraphError, InvariantError, OrientedGraph, TooLargeError, _check_vertex_count
+from .graphs import (
+    BadParamsError,
+    GraphError,
+    InvariantError,
+    OrientedGraph,
+    TooLargeError,
+    _check_vertex_count,
+    _in_masks,
+)
 from .homomorphism import EmptyPatternError, SearchPlan, compressibility
 
 MAX_EXACT_VERTICES = 7
 
 VALID_ALL = "all n"
 VALID_LARGE = "sufficiently large n"
-
-
-class BadParamsError(GraphError):
-    """Construction or pattern parameters outside their valid range."""
 
 
 class NoFormulaError(GraphError):
@@ -551,8 +553,8 @@ def _run_levels(
     Ties at the final level keep the smallest canonical digit string.
 
     Each parent's extensions are decided together as bitsets over their
-    positions in _extensions(k).  Those the bound lets through form a
-    window at the front of the list (it is ordered densest first); nodes
+    positions in _extension_sets(k).exts.  Those the bound lets through form
+    a window at the front of the list (it is ordered densest first); nodes
     counts the window whole, as if each extension in it were examined in
     turn.  Only the survivors, which pass the degree cut, are no twin image
     of an earlier extension and complete no copy of F, reach the canonical
@@ -567,8 +569,8 @@ def _run_levels(
         cap_parent = pairs_total - k * (k - 1) // 2
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
-        exts = _extensions(k)
         sets = _extension_sets(k)
+        exts = sets.exts
         prefix = sets.prefix
         covers: dict[int, int] = {}
         nxt: list[tuple[tuple[int, ...], int]] = []

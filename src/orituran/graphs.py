@@ -43,6 +43,10 @@ class TooLargeError(GraphError):
     """Instance exceeds a documented size cap."""
 
 
+class BadParamsError(GraphError):
+    """Construction or pattern parameters outside their valid range."""
+
+
 class VertexCapError(InvariantError, TooLargeError):
     """More than MAX_VERTICES vertices: a broken invariant and a size cap."""
 
@@ -67,6 +71,17 @@ def _check_vertex_count(n: int) -> None:
         raise VertexCapError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
 
 
+def _in_masks(out: Sequence[int], n: int) -> list[int]:
+    """The in-masks of the n out-masks out: bit u of ins[v] is arc u->v."""
+    ins = [0] * n
+    for u, m in enumerate(out):
+        while m:
+            low = m & -m
+            ins[low.bit_length() - 1] |= 1 << u
+            m ^= low
+    return ins
+
+
 @dataclass(frozen=True)
 class OrientedGraph:
     """Immutable oriented graph; out[u] is the bitset of heads of arcs u->v."""
@@ -84,13 +99,11 @@ class OrientedGraph:
                 raise InvariantError(f"out-mask of {u} references vertices >= n")
             if mask >> u & 1:
                 raise LoopArcError(f"loop at vertex {u}")
-        for u, mask in enumerate(self.out):
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                if self.out[v] >> u & 1:
-                    raise AntiparallelArcError(f"antiparallel pair between {u} and {v}")
-                m &= m - 1
+        for u, (mask, ins) in enumerate(zip(self.out, self.in_masks)):
+            both = mask & ins
+            if both:
+                v = (both & -both).bit_length() - 1
+                raise AntiparallelArcError(f"antiparallel pair between {u} and {v}")
 
     @staticmethod
     def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> "OrientedGraph":
@@ -109,14 +122,7 @@ class OrientedGraph:
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        ins = [0] * self.n
-        for u, mask in enumerate(self.out):
-            m = mask
-            while m:
-                v = (m & -m).bit_length() - 1
-                ins[v] |= 1 << u
-                m &= m - 1
-        return tuple(ins)
+        return tuple(_in_masks(self.out, self.n))
 
     @cached_property
     def arc_count(self) -> int:
@@ -354,7 +360,7 @@ def decode(text: str) -> OrientedGraph:
 
 
 def encode_undirected(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    ordered = sorted((min(u, v), max(u, v)) for u, v in edges)
+    ordered = sorted({(min(u, v), max(u, v)) for u, v in edges})
     lines = ["undirected", str(n)]
     lines.extend(f"{u} {v}" for u, v in ordered)
     return "\n".join(lines) + "\n"

@@ -81,16 +81,17 @@ class SearchPlan:
 
     Pattern vertices are visited in a fixed order: decreasing total degree,
     ties by index.  For each step the plan holds its vertex's out- and
-    in-degree thresholds, and, as step positions, the later steps joined to
-    it by an arc: assigning a step filters their candidate sets
-    (arc-consistency), which stays sound for non-injective maps.  It also
-    holds whether the map must be injective (a copy) or may collapse
-    vertices (a homomorphism), and the lane (1 or 2, else 0) of each marked
-    step: marks[u] = lane puts the image v of pattern vertex u at bit
+    in-degree thresholds, and, as step positions, the earlier steps joined
+    to it by an arc: a step's candidates are checked against the images of
+    those steps when it is entered (backward checking, no candidate-list
+    copies), which stays sound for non-injective maps.  It also holds
+    whether the map must be injective (a copy) or may collapse vertices (a
+    homomorphism), and the lane (1 or 2, else 0) of each marked step:
+    marks[u] = lane puts the image v of pattern vertex u at bit
     v + (lane - 1) * n of each leaf's key, where n is the host's vertex count.
     """
 
-    __slots__ = ("n", "arc_count", "injective", "order", "needs", "to_out", "to_in", "lanes")
+    __slots__ = ("n", "arc_count", "injective", "order", "needs", "from_out", "from_in", "lanes")
 
     def __init__(self, f: OrientedGraph, injective: bool, marks: Optional[dict[int, int]] = None):
         out, ins = f.out, f.in_masks
@@ -106,14 +107,14 @@ class SearchPlan:
             # images may be shared, so only "has some out-arc / in-arc" is forced
             self.needs = tuple((min(out[u].bit_count(), 1), min(ins[u].bit_count(), 1))
                                for u in order)
-        # to_out[i]: later steps j with an arc order[i] -> order[j], so step
-        # j's image lies in the out-set of step i's image; to_in alike
-        self.to_out = tuple(
-            tuple(position[x] for x in _bits(out[u]) if position[x] > i)
+        # from_out[i]: earlier steps j with an arc order[j] -> order[i], so
+        # step i's image lies in the out-set of step j's image; from_in alike
+        self.from_out = tuple(
+            tuple(position[x] for x in _bits(ins[u]) if position[x] < i)
             for i, u in enumerate(order)
         )
-        self.to_in = tuple(
-            tuple(position[x] for x in _bits(ins[u]) if position[x] > i)
+        self.from_in = tuple(
+            tuple(position[x] for x in _bits(out[u]) if position[x] < i)
             for i, u in enumerate(order)
         )
         marks = marks or {}
@@ -146,15 +147,18 @@ class SearchPlan:
         # marked images in the lanes above, which no candidate set reaches
         unit = int(self.injective)
         lift = [unit | (1 << lane * n if lane else 0) for lane in self.lanes]
-        to_out, to_in = self.to_out, self.to_in
+        from_out, from_in = self.from_out, self.from_in
         last = k - 1
         # the last step's image goes into the key at low * leaf_lift
         leaf_lift = lift[last] >> n
 
-        def dfs(i: int, cands: list[int], taken: int) -> bool:
-            m = cands[i] & ~taken
+        def dfs(i: int, taken: int) -> bool:
+            m = cand0[i] & ~taken
+            for j in from_out[i]:
+                m &= out[img[j]]
+            for j in from_in[i]:
+                m &= ins[img[j]]
             if i == last:
-                # the last step filters no later one: its candidates are the leaves
                 key = taken >> n
                 while m:
                     low = m & -m
@@ -166,25 +170,12 @@ class SearchPlan:
             while m:
                 low = m & -m
                 m ^= low
-                v = low.bit_length() - 1
-                t = taken | low * lift[i]
-                new = cands[:]
-                for j in to_out[i]:
-                    new[j] &= out[v]
-                    if not new[j] & ~t:
-                        break
-                else:
-                    for j in to_in[i]:
-                        new[j] &= ins[v]
-                        if not new[j] & ~t:
-                            break
-                    else:
-                        img[i] = v
-                        if dfs(i + 1, new, t):
-                            return True
+                img[i] = low.bit_length() - 1
+                if dfs(i + 1, taken | low * lift[i]):
+                    return True
             return False
 
-        return img if all(cand0) and dfs(0, cand0, 0) else None
+        return img if all(cand0) and dfs(0, 0) else None
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -193,19 +184,13 @@ def _bits(mask: int) -> Iterator[int]:
         mask &= mask - 1
 
 
-def find_map(
-    f: OrientedGraph, d: OrientedGraph, injective: bool,
-    on_leaf: Optional[Callable[[dict[int, int]], object]] = None,
-) -> Optional[dict[int, int]]:
+def find_map(f: OrientedGraph, d: OrientedGraph, injective: bool) -> Optional[dict[int, int]]:
     """First arc-preserving map f -> d found by backtracking, or None.
 
     With injective set the map is a copy of f in d, otherwise a homomorphism.
-    With on_leaf set, each complete map is passed to it as a dict in search
-    order, and the search stops at the first for which it returns true.
     """
     plan = SearchPlan(f, injective)
-    leaf = None if on_leaf is None else lambda img, _key: on_leaf(dict(zip(plan.order, img)))
-    found = plan.search(d.out, d.in_masks, leaf)
+    found = plan.search(d.out, d.in_masks)
     return None if found is None else dict(zip(plan.order, found))
 
 

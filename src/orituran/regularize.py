@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .containment import is_copy_witness
-from .graphs import BipartiteDigraph, InvariantError, OrientedGraph, TooLargeError
+from .graphs import BadParamsError, BipartiteDigraph, InvariantError, OrientedGraph, TooLargeError
 from .homomorphism import VertexMap
-from .extremal import BadParamsError
 
 VERIFY_SUBSET_CAP = 10 ** 6
 EXTRACT_ATTEMPTS = 256  # random balanced partitions tried by extract_bipartite

@@ -19,8 +19,6 @@ from orituran.canon import (
     CanonicalCode,
     _dropped,
     _extension_sets,
-    _extensions,
-    _in_masks,
     _min_digits,
     _twin_images,
     accept_child,
@@ -34,7 +32,7 @@ from orituran.canon import (
     is_isomorphic,
     masks_from_digits,
 )
-from orituran.graphs import InvariantError, OrientedGraph, TooLargeError
+from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 
 
 def _all_labelled(n):
@@ -284,6 +282,36 @@ def test_code_serialize_roundtrip():
         CanonicalCode.parse("3:0145")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("4", "code '4' lacks the 'n:' prefix"),
+    ("x:0", "bad vertex count in code 'x:0'"),
+    ("3:01", "code digit count does not match n=3"),
+    ("3:0145", "code digit count does not match n=3"),
+    ("3:041", "bad digit '4' in code"),
+    ("3:01x", "bad digit 'x' in code"),
+    ("3:2 0", "bad digit ' ' in code"),
+    ("3:1\u06630", "bad digit '\u0663' in code"),  # a decimal digit that is not ASCII
+])
+def test_code_errors_keep_their_messages(text, message):
+    with pytest.raises(InvariantError) as parsed:
+        CanonicalCode.parse(text)
+    assert str(parsed.value) == message
+    head, _, digits = text.partition(":")
+    if head.isdigit() and digits:
+        with pytest.raises(InvariantError) as built:
+            CanonicalCode(int(head), digits).to_graph()
+        assert str(built.value) == message
+
+
+@given(st.integers(0, 9), st.data())
+def test_code_to_graph_reads_each_digit_as_its_pair(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    digits = "".join(data.draw(st.lists(st.sampled_from("012"), min_size=len(pairs),
+                                        max_size=len(pairs))))
+    arcs = [(i, j) if d == "1" else (j, i) for (i, j), d in zip(pairs, digits) if d != "0"]
+    assert CanonicalCode(n, digits).to_graph() == OrientedGraph.from_arcs(n, arcs)
+
+
 def test_code_cap():
     with pytest.raises(TooLargeError):
         canonical_code(OrientedGraph.empty(11))
@@ -356,7 +384,8 @@ def _extend_by_state(masks, state):
 def test_extensions_match_the_state_rule(k, tournament):
     # a tournament parent takes the first 2^k extensions, those with k arcs
     states = _state_rule(k, tournament)
-    xs = _extensions(k)[:_extension_sets(k).prefix[k]] if tournament else _extensions(k)
+    sets = _extension_sets(k)
+    xs = sets.exts[:sets.prefix[k]] if tournament else sets.exts
     assert len(xs) == len(states)
     # every labelled parent; the empty one alone already pins order and sides
     parents = [g.out for g in _all_labelled(k)]
@@ -445,10 +474,17 @@ def test_enumeration_cap():
         enumerate_tournaments(8)
 
 
+def _reference_extensions(k):
+    """The extension list by its definition: the state tuples sorted by
+    (number of zeros, tuple), state 1 (u -> x) as bit u + k, state 2 as bit u."""
+    return [_state_int(state, k) for state in _state_rule(k, False)]
+
+
 def test_extension_sets_match_the_extension_list():
-    for k in range(7):
-        xs = _extensions(k)
+    for k in range(9):
+        xs = _reference_extensions(k)
         sets = _extension_sets(k)
+        assert sets.exts == tuple(xs)
 
         def positions(test):
             return sum(1 << p for p, x in enumerate(xs) if test(x))
@@ -476,7 +512,8 @@ def _state_int(state, k):
 
 def test_tournament_extensions_lead_the_list():
     for k in range(1, 7):
-        assert _extensions(k)[:_extension_sets(k).prefix[k]] == [
+        sets = _extension_sets(k)
+        assert list(sets.exts[:sets.prefix[k]]) == [
             _state_int(state, k) for state in _state_rule(k, True)
         ]
 
@@ -487,7 +524,7 @@ def _degree_cut(masks, k):
     ins = _in_masks(masks, k)
     degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
     cut = 0
-    for p, x in enumerate(_extensions(k)):
+    for p, x in enumerate(_extension_sets(k).exts):
         grown = [d + (x >> v & 1 | x >> v + k & 1) for v, d in enumerate(degs)]
         if max(grown, default=0) > x.bit_count():
             cut |= 1 << p
@@ -507,7 +544,7 @@ def test_degree_cut_drops_only_rejected_children(k, p_arc, seed):
     cut = _degree_cut(parent.out, k)
     twins = _twin_images(parent.out, ins, sets.greater)
     assert _dropped(parent.out, ins, sets) & (1 << 3 ** k) - 1 == cut | twins
-    for p, x in enumerate(_extensions(k)):
+    for p, x in enumerate(_extension_sets(k).exts):
         if cut >> p & 1:
             assert accept_child(extend_masks(parent.out, x), k + 1) is None, (parent, x)
 

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from orituran.canon import (
     _extension_sets,
-    _extensions,
-    _in_masks,
     _twin_images,
     accept_child,
     extend_masks,
@@ -26,7 +24,7 @@ from orituran.containment import (
     orientation_graph,
 )
 from orituran.extremal import PatternSpec, _copy_keys, _deletions, _forbidden
-from orituran.graphs import InvariantError, OrientedGraph, TooLargeError
+from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 from orituran.homomorphism import VertexMap
 
 
@@ -285,7 +283,7 @@ def test_forbidden_pairs_match_naive_through_search(token, k, seed):
     pattern = ARC_PLUS_POINT if token == "arc+point" else PatternSpec.parse(token).graph
     parent = _free_parent(random.Random(seed), k, pattern)
     forbidden = _forbidden_pairs(parent.out, k, _deletions(pattern))
-    for x in _extensions(k):
+    for x in _extension_sets(k).exts:
         child = OrientedGraph(k + 1, extend_masks(parent.out, x))
         hit = _hits(forbidden, x)
         assert hit == _naive_contains(child, pattern, through=k), (token, parent, x)
@@ -356,7 +354,7 @@ def test_forbidden_positions_are_the_extensions_covering_a_pair(token, k, seed):
     forbidden = _forbidden(keys, _extension_sets(k).lanes, covers)
     assert _forbidden(keys, _extension_sets(k).lanes, covers) == forbidden  # from the cache
     pairs = _forbidden_pairs(parent.out, k, deletions)
-    xs = _extensions(k)
+    xs = _extension_sets(k).exts
     assert ~forbidden & (1 << len(xs)) - 1 == sum(
         1 << p for p, x in enumerate(xs) if not _hits(pairs, x)
     )
@@ -365,7 +363,7 @@ def test_forbidden_positions_are_the_extensions_covering_a_pair(token, k, seed):
 def _accepted(masks, k, positions):
     """Distinct accepted pinned-last digits of the children at positions, in order."""
     found = []
-    for p, x in enumerate(_extensions(k)):
+    for p, x in enumerate(_extension_sets(k).exts):
         if positions >> p & 1:
             digits = accept_child(extend_masks(masks, x), k + 1)
             if digits is not None and digits not in found:
@@ -398,7 +396,7 @@ def test_twin_filter_on_the_empty_parent_keeps_the_sorted_states(k):
     # extensions whose states never fall from one vertex to the next survive
     empty = (0,) * k
     kept = ~_twin_images(empty, [0] * k, _extension_sets(k).greater)
-    xs = _extensions(k)
+    xs = _extension_sets(k).exts
 
     def state(x, u):
         return 2 if x >> u & 1 else 1 if x >> u + k & 1 else 0

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 from orituran import extremal
 from orituran.canon import (
-    _extensions,
-    _in_masks,
+    _extension_sets,
     _min_digits,
     accept_child,
     extend_masks,
@@ -31,7 +30,13 @@ from orituran.extremal import (
     turan_edges,
     verify_against_formula,
 )
-from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, VertexCapError
+from orituran.graphs import (
+    InvariantError,
+    OrientedGraph,
+    TooLargeError,
+    VertexCapError,
+    _in_masks,
+)
 from orituran.homomorphism import EmptyPatternError, SearchPlan
 
 
@@ -286,7 +291,7 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
                 continue
             seen = set()
             keys = None
-            for x in _extensions(k):
+            for x in _extension_sets(k).exts:
                 child_arcs = arcs + x.bit_count()
                 if last:
                     if child_arcs < best:

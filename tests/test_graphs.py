@@ -120,6 +120,8 @@ def test_decode_error_positions():
 def test_undirected_codec():
     text = encode_undirected(4, [(3, 1), (0, 1)])
     assert text == "undirected\n4\n0 1\n1 3\n"
+    # an edge written both ways, or twice, is encoded once
+    assert encode_undirected(2, [(0, 1), (1, 0)]) == "undirected\n2\n0 1\n"
     n, edges = decode_undirected(text)
     assert n == 4 and edges == ((0, 1), (1, 3))
     # decoding deduplicates repeated edges regardless of direction
@@ -168,6 +170,39 @@ def test_decode_undirected_sorts_and_deduplicates(n, data):
     assert got_n == n
     assert got == tuple(sorted(set(edges)))
     assert decode_undirected(encode_undirected(n, got)) == (n, got)
+
+
+@given(st.integers(2, 12), st.data())
+def test_encode_undirected_ignores_edge_direction_and_repeats(n, data):
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=30))
+    written = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    text = encode_undirected(n, written)
+    assert text == encode_undirected(n, sorted(set(edges)))
+    assert decode_undirected(text) == (n, tuple(sorted(set(edges))))
+
+
+def _first_antiparallel_pair(out):
+    """The antiparallel pair the constructor names, found arc by arc."""
+    for u, mask in enumerate(out):
+        for v in range(len(out)):
+            if mask >> v & 1 and out[v] >> u & 1:
+                return u, v
+    return None
+
+
+@given(st.integers(0, 9), st.data())
+def test_antiparallel_error_names_the_first_pair_arc_by_arc(n, data):
+    out = tuple(data.draw(st.integers(0, (1 << n) - 1)) & ~(1 << u) for u in range(n))
+    pair = _first_antiparallel_pair(out)
+    if pair is None:
+        assert OrientedGraph(n, out).in_masks == tuple(
+            sum(1 << u for u in range(n) if out[u] >> v & 1) for v in range(n)
+        )
+    else:
+        with pytest.raises(AntiparallelArcError) as info:
+            OrientedGraph(n, out)
+        assert str(info.value) == f"antiparallel pair between {pair[0]} and {pair[1]}"
 
 
 def test_bipartite_basicstructure():

@@ -1,5 +1,6 @@
 """Homomorphism search and the compressibility invariant."""
 
+import functools
 import itertools
 import random
 
@@ -143,19 +144,33 @@ def test_compressibility_cap():
         compressibility(PatternSpec.parse("dpath8").graph)
 
 
-# --- the leaf path of SearchPlan.search -----------------------------------------
+# --- SearchPlan.search against a forward-checking reference ------------------------
 
 
-def _reference_search(plan, out, ins, on_leaf=None):
-    """SearchPlan.search as one recursive call, and one candidate-list copy,
-    per leaf."""
-    k, n = plan.n, len(out)
-    if plan.injective and k > n:
+def _reference_search(pattern, injective, marks, out, ins, on_leaf=None):
+    """SearchPlan.search rebuilt from the pattern alone, with forward checking:
+    assigning a step filters the candidate lists, copied per node, of the
+    later steps joined to it by an arc, and cuts the branch when one runs
+    empty.  One recursive call per leaf."""
+    k, n = pattern.n, len(out)
+    if injective and k > n:
         return None
+    pout, pins = pattern.out, pattern.in_masks
+    order = sorted(range(k), key=lambda u: (-(pout[u].bit_count() + pins[u].bit_count()), u))
+    position = {u: i for i, u in enumerate(order)}
+    degrees = [(pout[u].bit_count(), pins[u].bit_count()) for u in order]
+    # a homomorphism may share images, so it only needs some out- and in-arc
+    needs = degrees if injective else [(min(od, 1), min(idg, 1)) for od, idg in degrees]
     cand0 = [sum(1 << v for v in range(n)
                  if out[v].bit_count() >= od and ins[v].bit_count() >= idg)
-             for od, idg in plan.needs]
-    lift = [int(plan.injective) | (1 << lane * n if lane else 0) for lane in plan.lanes]
+             for od, idg in needs]
+    lanes = [(marks or {}).get(u, 0) for u in order]
+    lift = [int(injective) | (1 << lane * n if lane else 0) for lane in lanes]
+    # later steps whose image must lie in the out- (in-) set of step i's image
+    to_out = [[position[x] for x in range(k) if pout[u] >> x & 1 and position[x] > i]
+              for i, u in enumerate(order)]
+    to_in = [[position[x] for x in range(k) if pins[u] >> x & 1 and position[x] > i]
+             for i, u in enumerate(order)]
     img = [0] * k
 
     def dfs(i, cands, taken):
@@ -168,11 +183,11 @@ def _reference_search(plan, out, ins, on_leaf=None):
             v = low.bit_length() - 1
             t = taken | low * lift[i]
             new = cands[:]
-            for j in plan.to_out[i]:
+            for j in to_out[i]:
                 new[j] &= out[v]
-            for j in plan.to_in[i]:
+            for j in to_in[i]:
                 new[j] &= ins[v]
-            if all(new[j] & ~t for j in (*plan.to_out[i], *plan.to_in[i])):
+            if all(new[j] & ~t for j in to_out[i] + to_in[i]):
                 img[i] = v
                 if dfs(i + 1, new, t):
                     return True
@@ -188,7 +203,7 @@ def _random_oriented(rng, n, p_arc):
     ])
 
 
-def _leaves(search, plan, host, stop_at):
+def _leaves(search, host, stop_at):
     """(leaves seen, result) of one search whose on_leaf stops at leaf stop_at."""
     seen = []
 
@@ -196,8 +211,19 @@ def _leaves(search, plan, host, stop_at):
         seen.append((list(img), key))
         return len(seen) == stop_at
 
-    found = search(plan, host.out, host.in_masks, on_leaf)
+    found = search(host.out, host.in_masks, on_leaf)
     return seen, None if found is None else list(found)
+
+
+def _assert_same_search(pattern, injective, marks, host, stops=(0,)):
+    plan = SearchPlan(pattern, injective, marks)
+    reference = functools.partial(_reference_search, pattern, injective, marks)
+    first = plan.search(host.out, host.in_masks)
+    want = reference(host.out, host.in_masks)
+    assert (None if first is None else list(first)) == want
+    for stop_at in stops:  # 0 never stops
+        assert _leaves(plan.search, host, stop_at) == _leaves(reference, host, stop_at)
+    return want
 
 
 @settings(max_examples=150)
@@ -209,14 +235,48 @@ def test_leaves_in_place_match_the_recursive_search(k, n, p_arc, injective, mark
     rng = random.Random(seed)
     pattern = _random_oriented(rng, k, rng.random())
     marks = {u: rng.choice((0, 1, 2)) for u in range(k)} if marked else None
-    plan = SearchPlan(pattern, injective, marks)
     host = _random_oriented(rng, n, p_arc)
-    first = plan.search(host.out, host.in_masks)
-    want = _reference_search(plan, host.out, host.in_masks)
-    assert (None if first is None else list(first)) == want
-    for stop_at in (0, 1, 3):  # 0 never stops
-        got = _leaves(SearchPlan.search, plan, host, stop_at)
-        assert got == _leaves(_reference_search, plan, host, stop_at)
+    _assert_same_search(pattern, injective, marks, host, stops=(0, 1, 3))
+
+
+def _cycle(k):
+    return OrientedGraph.from_arcs(k, [(i, (i + 1) % k) for i in range(k)])
+
+
+# dense patterns, where forward checking cuts many branches in a sparse host
+DENSE_PATTERNS = {
+    "c5": _cycle(5),
+    "c6": _cycle(6),
+    "tt5": _tt(5),
+    "rt5": OrientedGraph.from_arcs(5, [(i, (i + d) % 5) for i in range(5) for d in (1, 2)]),
+    "diamond": OrientedGraph.from_arcs(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+}
+
+
+def _planted(rng, pattern, n, p_arc):
+    """A random host on n vertices with a copy of pattern forced onto random
+    vertices."""
+    out = list(_random_oriented(rng, n, p_arc).out)
+    phi = rng.sample(range(n), pattern.n)
+    for u, v in pattern.arcs():
+        out[phi[v]] &= ~(1 << phi[u])
+        out[phi[u]] |= 1 << phi[v]
+    return OrientedGraph(n, tuple(out))
+
+
+@pytest.mark.parametrize("injective", [True, False])
+@pytest.mark.parametrize("name", sorted(DENSE_PATTERNS))
+def test_dense_patterns_in_sparse_hosts_match_the_reference(name, injective):
+    pattern = DENSE_PATTERNS[name]
+    rng = random.Random(f"{name}-{injective}")
+    found = []
+    for trial in range(16):
+        n, p_arc = rng.randint(6, 9), rng.choice([0.2, 0.35, 0.5])
+        # every other host holds a planted copy; the rest mostly hold none
+        host = _planted(rng, pattern, n, p_arc) if trial % 2 else _random_oriented(rng, n, p_arc)
+        marks = {u: rng.choice((0, 1, 2)) for u in range(pattern.n)}
+        found.append(_assert_same_search(pattern, injective, marks, host) is not None)
+    assert any(found) and not all(found)
 
 
 def test_plans_of_zero_and_one_vertex():
@@ -225,11 +285,11 @@ def test_plans_of_zero_and_one_vertex():
     for injective in (True, False):
         assert SearchPlan(empty, injective).search(host.out, host.in_masks) == []
         assert SearchPlan(empty, injective).search((), ()) == []
-        assert _leaves(SearchPlan.search, SearchPlan(empty, injective), host, 0) == ([([], 0)], None)
+        assert _leaves(SearchPlan(empty, injective).search, host, 0) == ([([], 0)], None)
         plan = SearchPlan(point, injective, {0: 2})
         assert plan.search(host.out, host.in_masks) == [0]
         assert plan.search((), ()) is None
         # the point's image is marked in lane 2, bits 3..5 of a 3-vertex host's key
-        assert _leaves(SearchPlan.search, plan, host, 3) == (
+        assert _leaves(plan.search, host, 3) == (
             [([0], 0b1000), ([1], 0b10000), ([2], 0b100000)], [2]
         )
