@@ -279,7 +279,9 @@ class CanonicalCode:
         try:
             n = int(head)
         except ValueError:
-            raise InvariantError(f"bad vertex count in code {text!r}") from None
+            n = -1
+        if n < 0 or str(n) != head:  # only the text serialize writes, one per code
+            raise InvariantError(f"bad vertex count in code {text!r}")
         code = CanonicalCode(n, digits)
         code.to_graph()  # validates length and digit alphabet
         return code

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterator, Optional, Sequence
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
@@ -81,17 +83,20 @@ class SearchPlan:
 
     Pattern vertices are visited in a fixed order: decreasing total degree,
     ties by index.  For each step the plan holds its vertex's out- and
-    in-degree thresholds, and, as step positions, the earlier steps joined
-    to it by an arc: a step's candidates are checked against the images of
-    those steps when it is entered (backward checking, no candidate-list
-    copies), which stays sound for non-injective maps.  It also holds
-    whether the map must be injective (a copy) or may collapse vertices (a
-    homomorphism), and the lane (1 or 2, else 0) of each marked step:
-    marks[u] = lane puts the image v of pattern vertex u at bit
-    v + (lane - 1) * n of each leaf's key, where n is the host's vertex count.
+    in-degree thresholds (needs, the largest of them top), and, as step
+    positions, the earlier steps joined to it by an arc: a step's candidates
+    are checked against the images of those steps when it is entered
+    (backward checking, no candidate-list copies), which stays sound for
+    non-injective maps.  It also holds whether the map must be injective (a
+    copy) or may collapse vertices (a homomorphism), and the lane (1 or 2,
+    else 0) of each marked step: marks[u] = lane puts the image v of pattern
+    vertex u at bit v + (lane - 1) * n of each leaf's key, where n is the
+    host's vertex count.  Each search builds the steps' candidate sets from
+    two OR reductions of the host's masks, and counts only for needs 2..top.
     """
 
-    __slots__ = ("n", "arc_count", "injective", "order", "needs", "from_out", "from_in", "lanes")
+    __slots__ = ("n", "arc_count", "injective", "order", "needs", "top", "from_out", "from_in",
+                 "lanes")
 
     def __init__(self, f: OrientedGraph, injective: bool, marks: Optional[dict[int, int]] = None):
         out, ins = f.out, f.in_masks
@@ -107,6 +112,7 @@ class SearchPlan:
             # images may be shared, so only "has some out-arc / in-arc" is forced
             self.needs = tuple((min(out[u].bit_count(), 1), min(ins[u].bit_count(), 1))
                                for u in order)
+        self.top = max(map(max, self.needs), default=0)
         # from_out[i]: earlier steps j with an arc order[j] -> order[i], so
         # step i's image lies in the out-set of step j's image; from_in alike
         self.from_out = tuple(
@@ -139,10 +145,12 @@ class SearchPlan:
         img = [0] * k
         if not k:
             return img if on_leaf is None or on_leaf(img, 0) else None
-        out_deg = [m.bit_count() for m in out]
-        in_deg = [m.bit_count() for m in ins]
-        cand0 = [sum(1 << v for v in range(n) if out_deg[v] >= od and in_deg[v] >= idg)
-                 for od, idg in self.needs]
+        # ge_out[t] (ge_in[t]): out- (in-) degree >= t; each arc's tail is in an in-mask
+        ge_out, ge_in = [(1 << n) - 1, reduce(or_, ins, 0)], [(1 << n) - 1, reduce(or_, out, 0)]
+        for t in range(2, self.top + 1):
+            ge_out.append(sum(1 << v for v, m in enumerate(out) if m.bit_count() >= t))
+            ge_in.append(sum(1 << v for v, m in enumerate(ins) if m.bit_count() >= t))
+        cand0 = [ge_out[od] & ge_in[idg] for od, idg in self.needs]
         # taken holds the images so far when injective (bits 0..n-1) and the
         # marked images in the lanes above, which no candidate set reaches
         unit = int(self.injective)

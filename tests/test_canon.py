@@ -291,16 +291,34 @@ def test_code_serialize_roundtrip():
     ("3:01x", "bad digit 'x' in code"),
     ("3:2 0", "bad digit ' ' in code"),
     ("3:1\u06630", "bad digit '\u0663' in code"),  # a decimal digit that is not ASCII
+    # vertex counts that int() reads but serialize never writes
+    *((text, f"bad vertex count in code {text!r}") for text in (
+        " 3:001", "3 :001", "+3:001", "\u0663:001", "-0:", "-1:0", "03:001", "00:",
+        ":", "3_0:" + "0" * 435,
+    )),
 ])
 def test_code_errors_keep_their_messages(text, message):
     with pytest.raises(InvariantError) as parsed:
         CanonicalCode.parse(text)
     assert str(parsed.value) == message
     head, _, digits = text.partition(":")
-    if head.isdigit() and digits:
+    if digits and not message.startswith("bad vertex count"):
         with pytest.raises(InvariantError) as built:
             CanonicalCode(int(head), digits).to_graph()
         assert str(built.value) == message
+
+
+@given(st.text("0123456789+-_ :\u0663", max_size=4), st.integers(0, 9), st.data())
+def test_code_parse_accepts_only_the_text_serialize_writes(head, n, data):
+    size = n * (n - 1) // 2
+    digits = data.draw(st.text("012", min_size=size, max_size=size))
+    for text in (f"{n}:{digits}", f"{head}:{digits}"):
+        try:
+            code = CanonicalCode.parse(text)
+        except InvariantError:
+            assert text != f"{n}:{digits}"
+        else:
+            assert code.serialize() == text
 
 
 @given(st.integers(0, 9), st.data())

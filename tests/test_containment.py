@@ -12,6 +12,7 @@ from orituran.canon import (
     _extension_sets,
     _twin_images,
     accept_child,
+    enumerate_tournaments,
     extend_masks,
 )
 from orituran.containment import (
@@ -185,6 +186,15 @@ def test_all_tournaments_counterexample_is_first_miss():
     assert contains_copy(cx, PatternSpec.parse("dcycle3").graph) is None
 
 
+@pytest.mark.parametrize("token", ["ttour4", "star:0,3", "star:3,0"])
+def test_tournament_sweep_matches_a_loop_of_copy_searches(token):
+    pattern = PatternSpec.parse(token).graph
+    for k in range(1, 7):
+        first_miss = next((t for t in enumerate_tournaments(k) if contains_copy(t, pattern) is None),
+                          None)
+        assert all_tournaments_contain(k, pattern) == (first_miss is None, first_miss)
+
+
 def test_orientation_graph_bit_semantics():
     edges = [(0, 1), (1, 2)]
     g0 = orientation_graph(3, edges, 0b00)
@@ -214,12 +224,20 @@ def _naive_sweep(n, edges, pattern):
 
 
 @settings(max_examples=60)
-@given(st.integers(4, 6), st.integers(0, 2**32 - 1), st.sampled_from(NAMED_PATTERNS))
+@given(st.integers(4, 7), st.integers(0, 2**32 - 1),
+       st.sampled_from(NAMED_PATTERNS + ["star:0,3", "star:3,0", "star:2,2"]))
 def test_orientation_sweep_matches_naive_sweep(n, seed, token):
     rng = random.Random(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    edges = [(u, v) if rng.random() < 0.5 else (v, u)
-             for u, v in rng.sample(pairs, rng.randint(4, min(10, len(pairs))))]
+    # edges among a core of the vertices, one edge to each of up to two
+    # pendant vertices, and the rest isolated, under a random relabelling
+    core = rng.randint(max(3, n - 3), n)
+    pendants = rng.randint(0, min(2, n - core))
+    pairs = list(itertools.combinations(range(core), 2))
+    edges = rng.sample(pairs, rng.randint(min(4, len(pairs)), min(10 - pendants, len(pairs))))
+    edges += [(rng.randrange(core), v) for v in range(core, core + pendants)]
+    label = rng.sample(range(n), n)
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in edges]
     pattern = PatternSpec.parse(token).graph
     holds, cx = all_orientations_contain(n, edges, pattern)
     assert (holds, None if cx is None else cx.out) == _naive_sweep(n, edges, pattern)

@@ -293,3 +293,60 @@ def test_plans_of_zero_and_one_vertex():
         assert _leaves(plan.search, host, 3) == (
             [([0], 0b1000), ([1], 0b10000), ([2], 0b100000)], [2]
         )
+
+
+# --- candidate sets: needs of 2 or more, sources, sinks and isolated vertices ------
+
+# patterns whose needs reach 2 or 3 on one side (those of a homomorphism stay at 1)
+HIGH_NEED_PATTERNS = ["star:0,3", "star:3,0", "star:2,2", "ttour4"]
+
+
+def _sources_and_sinks(rng, n, p_arc):
+    """A random host whose vertices are each isolated, a pure source, a pure
+    sink or unrestricted, so each one-sided degree filter has vertices to drop."""
+    role = [rng.choice("isox") for _ in range(n)]
+    sends = [r in "sx" for r in role]  # may have an out-arc
+    takes = [r in "ox" for r in role]  # may have an in-arc
+    arcs = []
+    for u, v in itertools.combinations(range(n), 2):
+        ways = [(a, b) for a, b in ((u, v), (v, u)) if sends[a] and takes[b]]
+        if ways and rng.random() < p_arc:
+            arcs.append(rng.choice(ways))
+    return OrientedGraph.from_arcs(n, arcs)
+
+
+@pytest.mark.parametrize("marked", [False, True])
+@pytest.mark.parametrize("injective", [True, False])
+@pytest.mark.parametrize("token", HIGH_NEED_PATTERNS)
+def test_high_needs_in_hosts_with_sources_and_sinks_match_the_reference(
+    token, injective, marked,
+):
+    pattern = PatternSpec.parse(token).graph
+    rng = random.Random(f"{token}-{injective}-{marked}")
+    found = []
+    for _ in range(24):
+        host = _sources_and_sinks(rng, rng.randint(4, 8), rng.choice([0.5, 0.8, 1.0]))
+        marks = {u: rng.choice((0, 1, 2)) for u in range(pattern.n)} if marked else None
+        found.append(_assert_same_search(pattern, injective, marks, host, stops=(0, 2)))
+    assert any(found) and not all(found)
+
+
+class _CountedMasks(list):
+    """Host masks that count their reads by index: the search's arc checks."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("token", HIGH_NEED_PATTERNS)
+def test_unmet_degree_needs_end_the_search_before_any_arc_check(token):
+    # every vertex of a directed 6-cycle has out- and in-degree 1, below the
+    # need of 2 or 3 that some step of each of these copy plans has
+    plan = SearchPlan(PatternSpec.parse(token).graph, injective=True)
+    host = _cycle(6)
+    out, ins = _CountedMasks(host.out), _CountedMasks(host.in_masks)
+    assert plan.search(out, ins) is None
+    assert out.reads == ins.reads == 0
