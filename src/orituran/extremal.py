@@ -16,7 +16,8 @@ extensions that an automorphism of P maps to an earlier-listed one
 (symmetry pruning of the extension set, McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26 (1998)), and a degree cut drops those whose new
 vertex would lack the child's largest degree.  Only the survivors are tested
-canonically.
+canonically.  Each later vertex also joins P by an F-free extension, so it
+sends P at most as many arcs as the densest one, which caps the child's subtree.
 """
 
 from __future__ import annotations
@@ -535,6 +536,11 @@ def _forbidden(keys: Iterable[int], lanes: tuple[int, ...], covers: dict[int, in
     return forbidden
 
 
+def _densest_free(forbidden: int, exts: tuple[int, ...]) -> int:
+    """Arcs of the densest extension outside forbidden: the first one listed."""
+    return exts[(~forbidden & forbidden + 1).bit_length() - 1].bit_count()
+
+
 def _run_levels(
     n: int,
     deletions: list[SearchPlan],
@@ -559,6 +565,9 @@ def _run_levels(
     turn.  Only the survivors, which pass the degree cut, are no twin image
     of an earlier extension and complete no copy of F, reach the canonical
     test; a parent whose window the first two empty needs no copy search.
+    Below the last level, each of the rest = n - k - 1 later vertices joins P
+    by an F-free extension, hence by at most d arcs, d those of the densest, so
+    a child that cannot beat best with rest * (d + 1) + C(rest, 2) more arcs is cut.
     A budget that runs out inside a window stops the run where that walk
     would stop.
     """
@@ -587,7 +596,12 @@ def _run_levels(
             ins = _in_masks(masks, k)
             live &= ~_dropped(masks, ins, sets)
             if live:
-                live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
+                forbidden = _forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
+                live &= ~forbidden
+                if live and not last:
+                    # cap_child let each later vertex send k + 1 arcs, not d + 1
+                    t += (n - k - 1) * (k - _densest_free(forbidden, exts))
+                    live &= (1 << prefix[min(max(t, 0), k + 1)]) - 1
             seen: set[bytes] = set()
             while live:
                 low = live & -live

@@ -198,25 +198,25 @@ def test_oracle_matches_brute_force_on_random_patterns(k, digits):
 def test_oracle_frozen_values():
     # (pattern, n, value, nodes): nodes pins the work as well as the answer
     frozen = [
-        ("dpath3", 5, 6, 317),
-        ("dpath3", 6, 9, 1192),
-        ("dpath3", 7, 12, 7220),
+        ("dpath3", 5, 6, 269),
+        ("dpath3", 6, 9, 920),
+        ("dpath3", 7, 12, 4884),
         ("adpath4", 5, 7, 572),
-        ("adpath4", 6, 9, 7891),
+        ("adpath4", 6, 9, 7779),
         ("star:1,2", 6, 12, 1300),
-        ("prop23", 6, 9, 5138),
-        ("p3plusarc", 6, 9, 16599),
+        ("prop23", 6, 9, 4466),
+        ("p3plusarc", 6, 9, 16039),
         ("thm32", 6, 12, 3308),
-        ("dpath4", 7, 16, 6666),
-        ("ttour3", 7, 16, 4095),
-        ("star:1,2", 7, 16, 11195),
-        ("matching2", 7, 6, 18616),
-        ("prop23", 7, 12, 25413),
-        ("adpath4", 7, 11, 104297),
-        ("p3plusarc", 7, 11, 112155),
-        ("thm32", 7, 16, 44804),
+        ("dpath4", 7, 16, 5482),
+        ("ttour3", 7, 16, 2991),
+        ("star:1,2", 7, 16, 9691),
+        ("matching2", 7, 6, 17304),
+        ("prop23", 7, 12, 21613),
+        ("adpath4", 7, 11, 89305),
+        ("p3plusarc", 7, 11, 106795),
+        ("thm32", 7, 16, 37380),
         ("star:0,2", 7, 7, 57775),
-        ("oc4", 7, 16, 25346),
+        ("oc4", 7, 16, 18482),
     ]
     for token, n, want, nodes in frozen:
         rec = oracle_exo(n, PatternSpec.parse(token))
@@ -277,7 +277,10 @@ def test_oracle_matches_brute_force_at_five_on_random_patterns():
 
 def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, stop):
     """The level loop _run_levels replaced: each extension is examined in
-    turn, counted, charged to the budget and tested against the copy keys."""
+    turn, counted, charged to the budget and tested against the copy keys.
+    Below the last level a child is skipped when even later vertices that
+    each send the densest key-free extension's d arcs to the parent and one
+    to the new vertex cannot beat best."""
     pairs_total = n * (n - 1) // 2
     nodes = 0
     level = frontier
@@ -285,6 +288,7 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
         cap_parent = pairs_total - k * (k - 1) // 2
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
+        rest = n - k - 1
         nxt = []
         for masks, arcs in level:
             if arcs + cap_parent <= best:
@@ -303,7 +307,11 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
                     return best, best_digits, nodes, True, []
                 if keys is None:
                     keys = extremal._copy_keys(masks, _in_masks(masks, k), k, deletions)
+                    d = max((y.bit_count() for y in _extension_sets(k).exts
+                             if not any(p & y == p for p in keys)), default=-1)
                 if any(p & x == p for p in keys):
+                    continue
+                if not last and child_arcs + rest * (d + 1) + rest * (rest - 1) // 2 <= best:
                     continue
                 digits = accept_child(extend_masks(masks, x), k + 1)
                 if digits is None or digits in seen:
@@ -349,6 +357,42 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
         assert want[3] == (budget < full[2])
 
 
+def test_densest_free_extension_is_exact():
+    # d, the arcs of P's densest F-free extension, over every one of the 3^k
+    # ways to join a new vertex, each tested by a plain copy search
+    rng = random.Random(16)
+    cases = empty = 0
+    while cases < 150:
+        f = _random_pattern(rng, 2, 5)
+        k = rng.randint(1, 5)
+        arcs = [(i, j) if rng.random() < 0.5 else (j, i)
+                for i, j in itertools.combinations(range(k), 2) if rng.random() < 0.7]
+        parent = OrientedGraph.from_arcs(k, arcs)
+        if not is_free(parent, f):
+            continue
+        cases += 1
+        free = [
+            x.bit_count()
+            for states in itertools.product((0, 1, 2), repeat=k)
+            for x in [sum(1 << u + (k if s == 1 else 0) for u, s in enumerate(states) if s)]
+            if is_free(OrientedGraph(k + 1, extend_masks(parent.out, x)), f)
+        ]
+        deletions = extremal._deletions(f)
+        sets = _extension_sets(k)
+        keys = extremal._copy_keys(parent.out, _in_masks(parent.out, k), k, deletions)
+        forbidden = extremal._forbidden(keys, sets.lanes, {})
+        if free:
+            assert extremal._densest_free(forbidden, sets.exts) == max(free), (arcs, sorted(f.arcs()))
+        else:
+            empty += 1
+            assert forbidden & (1 << len(sets.exts)) - 1 == (1 << len(sets.exts)) - 1
+            # no child, at a level that would keep every child
+            frontier = extremal._run_levels(k + 2, deletions, [(parent.out, len(arcs))], k,
+                                            -1, None, None, k + 1)[4]
+            assert frontier == []
+    assert empty  # the seed reaches parents with no free extension
+
+
 # --- one deletion plan per orbit of Aut(F) ----------------------------------------
 
 _SMALL_NAMED = [
@@ -359,16 +403,18 @@ _SMALL_NAMED = [
 ]
 
 
+def _random_pattern(rng, lo, hi):
+    """A random pattern with at least one arc on lo..hi vertices."""
+    k = rng.randint(lo, hi)
+    pairs = list(itertools.combinations(range(k), 2))
+    chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
+    return OrientedGraph.from_arcs(
+        k, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen])
+
+
 def _random_patterns(count):
     rng = random.Random(30)
-    patterns = []
-    while len(patterns) < count:
-        k = rng.randint(2, 6)
-        pairs = list(itertools.combinations(range(k), 2))
-        chosen = rng.sample(pairs, rng.randint(1, len(pairs)))
-        patterns.append(OrientedGraph.from_arcs(
-            k, [(a, b) if rng.random() < 0.5 else (b, a) for a, b in chosen]))
-    return patterns
+    return [_random_pattern(rng, 2, 6) for _ in range(count)]
 
 
 def _orbit_count(f):
