@@ -74,17 +74,6 @@ def all_tournaments_contain(
     return True, None
 
 
-def orientation_graph(n: int, edges: Sequence[tuple[int, int]], bits: int) -> OrientedGraph:
-    """Orient each undirected edge (u, v): bit 0 keeps u->v, bit 1 flips it."""
-    out = [0] * n
-    for i, (u, v) in enumerate(edges):
-        if (bits >> i) & 1:
-            out[v] |= 1 << u
-        else:
-            out[u] |= 1 << v
-    return OrientedGraph(n, tuple(out))
-
-
 def all_orientations_contain(
     n: int, edges: Sequence[tuple[int, int]], pattern: OrientedGraph
 ) -> tuple[bool, Optional[OrientedGraph]]:

@@ -240,24 +240,6 @@ class BipartiteDigraph:
         return BipartiteDigraph(tuple(part_u), tuple(part_w), tuple(masks))
 
     @cached_property
-    def in_masks(self) -> tuple[int, ...]:
-        """in_masks[j] = bitset over part_u indices with an arc into part_w[j].
-
-        Transposes blocks of rows as binary text: a block's out-masks, highest
-        index first, are joined into one string, so every w-th character is a
-        column, read by int(..., 2) at C speed.  One OR per arc into growing
-        ints would be quadratic in |part_u|; blocks keep the text small.
-        """
-        w = len(self.part_w)
-        ins = [0] * w
-        block = 4096
-        for lo in range(0, len(self.out_masks), block):
-            bits = "".join(format(m, f"0{w}b") for m in reversed(self.out_masks[lo:lo + block]))
-            for j in range(w):
-                ins[j] |= int(bits[w - 1 - j::w], 2) << lo
-        return tuple(ins)
-
-    @cached_property
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self.out_masks)
 
@@ -276,15 +258,6 @@ class BipartiteDigraph:
 
     def min_out_degree(self) -> int:
         return min((m.bit_count() for m in self.out_masks), default=0)
-
-    def to_oriented(self) -> tuple[OrientedGraph, dict[int, int]]:
-        """Compact to an OrientedGraph; returns (graph, id -> new-label map)."""
-        ids = list(self.part_u) + list(self.part_w)
-        if len(ids) > MAX_VERTICES:
-            raise TooLargeError(f"{len(ids)} vertices exceed the {MAX_VERTICES}-vertex graph cap")
-        label = {v: i for i, v in enumerate(ids)}
-        g = OrientedGraph.from_arcs(len(ids), ((label[u], label[w]) for u, w in self.arcs()))
-        return g, label
 
     def restrict(self, u_ids: Sequence[int], w_ids: Sequence[int]) -> "BipartiteDigraph":
         """Sub-instance on the given ids (arcs between them only)."""

@@ -22,11 +22,21 @@ from orituran.containment import (
     contains_copy_through,
     is_copy_witness,
     is_free,
-    orientation_graph,
 )
 from orituran.extremal import PatternSpec, _copy_keys, _deletions, _forbidden
 from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 from orituran.homomorphism import VertexMap
+
+
+def orientation_graph(n, edges, bits):
+    """Orient each undirected edge (u, v): bit 0 keeps u->v, bit 1 flips it."""
+    out = [0] * n
+    for i, (u, v) in enumerate(edges):
+        if (bits >> i) & 1:
+            out[v] |= 1 << u
+        else:
+            out[u] |= 1 << v
+    return OrientedGraph(n, tuple(out))
 
 
 def _naive_contains(host, pattern, through=None):

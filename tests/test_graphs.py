@@ -210,7 +210,6 @@ def test_bipartite_basicstructure():
     assert b.n == 5
     assert b.arc_count == 3
     assert list(b.arcs()) == [(10, 20), (10, 22), (11, 21)]
-    assert b.in_masks == (1, 2, 1)
     assert b.min_out_degree() == 1
 
 
@@ -219,20 +218,6 @@ def test_bipartite_part_overlap_rejected():
         BipartiteDigraph((0, 1), (1, 2), (0, 0))
     with pytest.raises(InvariantError):
         BipartiteDigraph.from_arcs([0], [1], [(1, 0)])
-
-
-def test_bipartite_to_oriented():
-    b = BipartiteDigraph.from_arcs([5, 7], [9], [(5, 9), (7, 9)])
-    g, label = b.to_oriented()
-    assert g.n == 3
-    assert label == {5: 0, 7: 1, 9: 2}
-    assert sorted(g.arcs()) == [(0, 2), (1, 2)]
-
-
-def test_bipartite_to_oriented_cap():
-    big = BipartiteDigraph(tuple(range(40)), tuple(range(40, 80)), (0,) * 40)
-    with pytest.raises(TooLargeError):
-        big.to_oriented()
 
 
 def test_bipartite_restrict_preserves_ids():
@@ -251,27 +236,6 @@ def test_bipartite_no_vertex_cap():
     wide = BipartiteDigraph(tuple(range(300)), tuple(range(300, 400)), (1,) * 300)
     assert wide.n == 400
     assert wide.arc_count == 300
-
-
-def _loop_in_masks(b):
-    ins = [0] * len(b.part_w)
-    for i, m in enumerate(b.out_masks):
-        while m:
-            j = (m & -m).bit_length() - 1
-            ins[j] |= 1 << i
-            m &= m - 1
-    return tuple(ins)
-
-
-@pytest.mark.parametrize("nu,nw", [(0, 3), (3, 0), (1, 1), (7, 5), (4100, 9), (9000, 67)])
-def test_bipartite_in_masks_match_per_arc_loop(nu, nw):
-    # sizes straddle the 4096-row transpose blocks and a 64-bit word
-    rng = random.Random(nu * 1000 + nw)
-    full = (1 << nw) - 1
-    random_masks = tuple(rng.getrandbits(nw) if nw else 0 for _ in range(nu))
-    for masks in ((0,) * nu, random_masks, (full,) * nu):
-        b = BipartiteDigraph(tuple(range(nu)), tuple(range(nu, nu + nw)), masks)
-        assert b.in_masks == _loop_in_masks(b)
 
 
 def _loop_restrict(b, u_ids, w_ids):

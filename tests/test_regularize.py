@@ -3,15 +3,19 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from orituran.containment import is_copy_witness
 from orituran.graphs import BipartiteDigraph, OrientedGraph, TooLargeError
 from orituran.extremal import BadParamsError
+from orituran.homomorphism import VertexMap
 from orituran.regularize import (
+    VERIFY_SUBSET_CAP,
     CertificateInsufficient,
     InfeasibleConfig,
     RichSetCertificate,
@@ -66,9 +70,114 @@ def _sha(obj) -> str:
 
 
 def _total_degrees(b):
-    degs = [b.out_masks[i].bit_count() for i in range(len(b.part_u))]
-    degs += [b.in_masks[j].bit_count() for j in range(len(b.part_w))]
+    degs = [m.bit_count() for m in b.out_masks]
+    degs += [sum(m >> j & 1 for m in b.out_masks) for j in range(len(b.part_w))]
     return degs
+
+
+def _columns(b):
+    """Column j as a bitset over part_u indices, by a per-arc loop."""
+    ins = [0] * len(b.part_w)
+    for i, m in enumerate(b.out_masks):
+        while m:
+            j = (m & -m).bit_length() - 1
+            ins[j] |= 1 << i
+            m &= m - 1
+    return ins
+
+
+def _reference_verify_certificate(g, cert):
+    """AND the columns of each r-subset and count the common in-neighbours."""
+    subsets = math.comb(len(cert.subset), cert.r)
+    if subsets > VERIFY_SUBSET_CAP:
+        raise TooLargeError("too many subsets")
+    ins = _columns(g)
+    w_pos = {w: j for j, w in enumerate(g.part_w)}
+    for combo in itertools.combinations(cert.subset, cert.r):
+        common = (1 << len(g.part_u)) - 1
+        for w in combo:
+            common &= ins[w_pos[w]]
+        if common.bit_count() < cert.h:
+            return False
+    return True
+
+
+def _reference_embed(g, pattern, cert):
+    """The lowest unused set bit of the AND of each pattern U vertex's columns."""
+    if cert.h != pattern.n:
+        raise BadParamsError("h")
+    if any(m.bit_count() > cert.r for m in pattern.out_masks):
+        raise BadParamsError("r")
+    if len(pattern.part_w) > len(cert.subset):
+        raise CertificateInsufficient("subset")
+    ins = _columns(g)
+    w_pos = {w: j for j, w in enumerate(g.part_w)}
+    mapping = dict(zip(pattern.part_w, cert.subset))
+    used = set()
+    for i, a in enumerate(pattern.part_u):
+        common = (1 << len(g.part_u)) - 1
+        for j in range(len(pattern.part_w)):
+            if pattern.out_masks[i] >> j & 1:
+                common &= ins[w_pos[mapping[pattern.part_w[j]]]]
+        free = [k for k in range(len(g.part_u)) if common >> k & 1 and g.part_u[k] not in used]
+        if not free:
+            raise CertificateInsufficient("row")
+        used.add(g.part_u[free[0]])
+        mapping[a] = g.part_u[free[0]]
+    src_n = max(list(pattern.part_u) + list(pattern.part_w)) + 1
+    tgt_n = max(list(g.part_u) + list(g.part_w)) + 1
+    return VertexMap.of(src_n, tgt_n, mapping)
+
+
+def _reference_verify_embedding(g, pattern, vm):
+    """is_copy_witness on an OrientedGraph of the image and one of the pattern."""
+    mapping = vm.as_dict()
+    if len(set(mapping.values())) != len(mapping):
+        return False
+    if set(mapping) != set(pattern.part_u) | set(pattern.part_w):
+        return False
+    image_u = sorted(mapping[a] for a in pattern.part_u)
+    image_w = sorted(mapping[b] for b in pattern.part_w)
+    if not set(image_u) <= set(g.part_u) or not set(image_w) <= set(g.part_w):
+        return False
+    host_label = {v: i for i, v in enumerate(image_u + image_w)}
+    host = OrientedGraph.from_arcs(
+        len(host_label),
+        ((host_label[u], host_label[w]) for u, w in g.restrict(image_u, image_w).arcs()),
+    )
+    pat_label = {v: i for i, v in enumerate(pattern.part_u + pattern.part_w)}
+    pat = OrientedGraph.from_arcs(
+        len(pat_label), ((pat_label[u], pat_label[w]) for u, w in pattern.arcs())
+    )
+    small = {pat_label[v]: host_label[mapping[v]] for v in mapping}
+    return is_copy_witness(host, pat, VertexMap.of(pat.n, host.n, small))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # compared by type with the reference
+        return "raised", type(exc)
+
+
+def _mixed_bipartite(rng, nu, nw):
+    """Rows drawn empty, full or random, so covers and misses both occur."""
+    full = (1 << nw) - 1
+    rows = tuple(rng.choice((0, full, rng.getrandbits(nw), rng.getrandbits(nw)))
+                 for _ in range(nu))
+    return BipartiteDigraph(tuple(range(nu)), tuple(range(nu, nu + nw)), rows)
+
+
+def _random_pattern(rng, h, r):
+    """A bipartite pattern on h vertices with out-degrees at most r."""
+    nu = rng.randint(0, h)
+    nw = h - nu
+    rows = []
+    for _ in range(nu):
+        cols = rng.sample(range(nw), rng.randint(0, min(r, nw)))
+        rows.append(sum(1 << j for j in cols))
+    ids = rng.sample(range(3 * h), h)
+    return BipartiteDigraph(tuple(ids[:nu]), tuple(ids[nu:]), tuple(rows))
 
 
 # --- extraction ------------------------------------------------------------------
@@ -170,6 +279,13 @@ def test_almost_regular_rejects_r1_without_override():
     c = 4.0 * kb.arc_count / kb.n
     with pytest.raises(BadParamsError):
         almost_regular_subdigraph(kb, c, r=1)
+
+
+@pytest.mark.parametrize("r", [0, -3])
+def test_almost_regular_rejects_r_below_one_with_override(r):
+    kb = _complete_bipartite(8, 8)
+    with pytest.raises(BadParamsError):
+        almost_regular_subdigraph(kb, 4.0 * kb.arc_count / kb.n, r=r, t_override=2)
 
 
 def test_almost_regular_rejects_mismeasured_c():
@@ -275,6 +391,30 @@ def test_verify_certificate_refuses_unchecked_sizes():
         verify_certificate(host, cert)
 
 
+def test_verify_certificate_matches_column_reference():
+    # rows against columns on hosts with empty, full and random rows, more
+    # than 64 rows, and subsets that may name ids outside the host
+    rng = random.Random(19)
+    for _ in range(400):
+        nu, nw = rng.randint(0, 150), rng.randint(1, 8)
+        host = _mixed_bipartite(rng, nu, nw)
+        r, h = rng.randint(1, 3), rng.randint(1, 4)
+        certs = [find_rich_set(host, r, h)]
+        ids = list(host.part_w) + [nu + nw, -1]
+        certs.append(RichSetCertificate(tuple(rng.sample(ids, min(h, len(ids)))), r, h))
+        certs.append(RichSetCertificate(tuple(rng.sample(host.part_w, min(h, nw))), r, h))
+        for cert in certs:
+            if cert is not None:
+                assert _outcome(verify_certificate, host, cert) == _outcome(
+                    _reference_verify_certificate, host, cert)
+
+
+def test_verify_certificate_raises_key_error_for_foreign_ids():
+    host = _complete_bipartite(3, 2)
+    with pytest.raises(KeyError):
+        verify_certificate(host, RichSetCertificate(subset=(3, 99), r=2, h=1))
+
+
 # --- embedding through a certificate -----------------------------------------------
 
 
@@ -321,6 +461,81 @@ def test_verify_bipartite_embedding_rejects_noninjective():
     host = _complete_bipartite(2, 2)
     vm = VertexMap.of(2, 4, {0: 0, 1: 0})
     assert not verify_bipartite_embedding(host, ARC, vm)
+
+
+def _broken_maps(rng, host, pattern, vm):
+    """Invalid variants of a total map: non-injective, a missing vertex, an
+    image on the wrong side or outside the host, and an image moved to a
+    random row that may miss an arc."""
+    mapping = vm.as_dict()
+    keys = sorted(mapping)
+    outside = max(host.part_u + host.part_w) + 1
+    broken = []
+    if len(keys) >= 2:
+        a, b = rng.sample(keys, 2)
+        broken.append({**mapping, a: mapping[b]})
+    broken.append({k: v for k, v in mapping.items() if k != rng.choice(keys)})
+    for a in pattern.part_u:
+        broken.append({**mapping, a: rng.choice(host.part_w)})
+        broken.append({**mapping, a: rng.choice(host.part_u)})
+    for b in pattern.part_w:
+        broken.append({**mapping, b: rng.choice(host.part_u)})
+        broken.append({**mapping, b: rng.choice(host.part_w)})
+    broken.append({**mapping, rng.choice(keys): outside})
+    return [VertexMap.of(vm.source_n, outside + 1, m) for m in broken]
+
+
+def test_embedding_and_its_check_match_column_and_copy_references():
+    rng = random.Random(23)
+    checked = valid = 0
+    for _ in range(400):
+        nu, nw = rng.randint(1, 150), rng.randint(1, 8)
+        host = _mixed_bipartite(rng, nu, nw)
+        r, h = rng.randint(1, 3), rng.randint(1, 4)
+        pattern = _random_pattern(rng, h, r)
+        cert = find_rich_set(host, r, h) or RichSetCertificate(
+            tuple(rng.sample(host.part_w, min(h, nw))), r, h)
+        got = _outcome(embed_via_rich_set, host, pattern, cert)
+        assert got == _outcome(_reference_embed, host, pattern, cert)
+        if got[0] != "value":
+            continue
+        vm = got[1]
+        answer = verify_bipartite_embedding(host, pattern, vm)
+        assert answer == _reference_verify_embedding(host, pattern, vm)
+        valid += answer
+        for bad in _broken_maps(rng, host, pattern, vm):
+            assert _outcome(verify_bipartite_embedding, host, pattern, bad) == _outcome(
+                _reference_verify_embedding, host, pattern, bad)
+            checked += 1
+    assert valid >= 100 and checked >= 1000
+
+
+def test_verify_bipartite_embedding_rejects_each_kind_of_bad_map():
+    host = BipartiteDigraph((0, 1), (2, 3), (0b01, 0b11))
+    good = {0: 1, 1: 2}
+    assert verify_bipartite_embedding(host, ARC, VertexMap.of(2, 4, good))
+    assert verify_bipartite_embedding(host, ARC, VertexMap.of(2, 4, {0: 0, 1: 2}))
+    for bad in (
+        {0: 2, 1: 2},  # not injective
+        {0: 1},  # a pattern vertex left out
+        {0: 2, 1: 3},  # the U vertex on the host's W side
+        {0: 1, 1: 0},  # the W vertex on the host's U side
+        {0: 1, 1: 9},  # an image outside the host
+        {0: 0, 1: 3},  # 0 -> 3 is not a host arc
+    ):
+        assert not verify_bipartite_embedding(host, ARC, VertexMap.of(2, 10, bad))
+
+
+def test_verify_bipartite_embedding_checks_images_beyond_64_vertices():
+    # a 40-arc matching has 80 vertices, past the OrientedGraph cap
+    k = 40
+    pattern = BipartiteDigraph(tuple(range(k)), tuple(range(k, 2 * k)),
+                               tuple(1 << i for i in range(k)))
+    host = _complete_bipartite(k, k)
+    vm = VertexMap.of(2 * k, 2 * k, {v: v for v in range(2 * k)})
+    assert verify_bipartite_embedding(host, pattern, vm)
+    empty = BipartiteDigraph(host.part_u, host.part_w, (0,) * k)
+    assert not verify_bipartite_embedding(empty, pattern, vm)
 
 
 # --- zooming -----------------------------------------------------------------------
