@@ -436,6 +436,19 @@ def test_embed_out_star():
     assert mapped[1] == 3 and mapped[2] == 4  # B side follows subset order
 
 
+def test_embed_gives_twin_pattern_rows_distinct_first_unused_host_rows():
+    # host row 0 misses column 4; rows 1 and 2 cover both columns
+    host = BipartiteDigraph((0, 1, 2), (3, 4), (0b01, 0b11, 0b11))
+    k22 = BipartiteDigraph((0, 1), (2, 3), (0b11, 0b11))
+    cert = RichSetCertificate(subset=(3, 4), r=2, h=4)
+    vm = embed_via_rich_set(host, k22, cert)
+    assert vm.as_dict() == {0: 1, 1: 2, 2: 3, 3: 4}
+    assert verify_bipartite_embedding(host, k22, vm)
+    one_cover = BipartiteDigraph((0, 1, 2), (3, 4), (0b01, 0b11, 0b01))
+    with pytest.raises(CertificateInsufficient):
+        embed_via_rich_set(one_cover, k22, cert)
+
+
 def test_embed_detects_invalid_certificate():
     host = BipartiteDigraph((0,), (1, 2), (1,))
     pattern = BipartiteDigraph((0,), (1, 2), (3,))
