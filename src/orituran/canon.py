@@ -27,50 +27,41 @@ that branched m ways at a row now branches once.
 For canonical deletion the search can pin one vertex to the last position: it
 stays out of the cells and its digit ends every row.
 
-Enumeration extends one representative per (k-1)-vertex class by one vertex
-(McKay's canonical augmentation).  Each way to join the new vertex is one int
-x_out | x_in << k (its out- and in-neighbours), listed densest first, so the
-2^k tournament extensions lead the list.  ExtensionSets holds that list,
-built once per k, and the bitsets over its positions with which enumeration
-and the exo oracle decide the whole list at once.  A child is kept only if
-its new vertex x lies in the orbit of a deletion vertex chosen from the
-child's isomorphism class alone.
-Every vertex gets the invariant (degree, out-degree, sum of its
-out-neighbours' out-degrees), and the deletion orbit is, among the vertices
-with the largest invariant, the one whose pinned-last code is smallest; two
-vertices share an orbit exactly when their pinned-last codes are equal (the
-oracle keeps one deletion of its pattern per orbit that way).  So a child
-whose x lacks the largest invariant is rejected with no search (most are),
-and the first field of the invariant rejects many on the parent's degrees
-alone: with D the parent's largest degree, an x with fewer than D arcs, or
-with exactly D arcs one of which lifts a degree-D vertex to D + 1, leaves
-some vertex above x.  The per-parent filter _dropped cuts those positions as
-bitsets, together with the images of earlier positions under swaps of false
-twins, before any child is built.  For a surviving child one pinned search
-gives x's pinned-last code, and a stop-early probe seeded with it, pinning
-each other top-invariant vertex, rejects the child if it finds a smaller
-one.  The pinned-last digits of (child, x) are a
-complete invariant of the pair: they deduplicate siblings (two extension
-patterns can be automorphic images of each other) and, read back as masks,
-give the child's representative for the next level.  Every class is then
-produced exactly once, because the deletion orbit fixes the parent class.
-The largest invariant is used rather than the smallest because the exo
-oracle's output then moves less against the rule it replaced (keep x iff
-some minimum-code labelling puts it last): on the nineteen cases of
+Enumeration grows complete levels one vertex at a time (_grow).  Each way
+to join a new vertex x to a k-vertex class is one int x_out | x_in << k,
+and ExtensionSets lists them densest first, with bitsets over their
+positions that filter a parent's whole list at once (_dropped).  Every
+vertex gets the invariant (degree, out-degree, sum of its out-neighbours'
+out-degrees); a child is kept only if x has the largest, and the canonical
+codes of the kept children dedupe the level.  Levels are sorted by
+canonical digits, an order independent of how classes are generated.
+
+The exo oracle keeps McKay's canonical augmentation (accept_child), which
+grows each class from one parent class only: the forked shares of a
+jobs > 1 split must grow disjoint subtrees, and the oracle's witness and
+node count are defined over the classes its pruned levels retain.  A child
+is kept only if x lies in the orbit of a deletion vertex chosen from its
+class alone: among the vertices with the largest invariant, the one whose
+pinned-last code is smallest; two vertices share an orbit exactly when
+their pinned-last codes are equal (the oracle keeps one deletion of its
+pattern per orbit that way).  One pinned search gives x's pinned-last code,
+and a stop-early probe seeded with it, pinning each other top-invariant
+vertex, rejects the child if it finds a smaller one.  The pinned-last
+digits of (child, x) are a complete invariant of the pair: they deduplicate
+siblings and, read back as masks, give the child's representative for the
+next level.  The largest invariant is used rather than the smallest because
+the oracle's output then moves less against the rule it replaced (keep x
+iff some minimum-code labelling puts it last): on the nineteen cases of
 test_oracle_frozen_values the largest changed one witness and no node
 count, the smallest changed eight witnesses, and also prop23m's node count
 at n = 5.
-
-Intermediate levels therefore carry pinned-last representatives, and the
-final level is emitted as canonical forms sorted by canonical digits, an
-order that does not depend on how classes are generated.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 
@@ -215,17 +206,13 @@ def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int) -> bytea
     return best
 
 
-def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
-    """Canonical-augmentation acceptance for a child whose new vertex is n-1.
-
-    Returns the child's pinned-last digits (the minimum code over labellings
-    that put n-1 last) when n-1 lies in the child's deletion orbit, else None.
-    """
+def _top_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> Optional[list[int]]:
+    """Each vertex's invariant (degree, out-degree, out-neighbours'
+    out-degrees), packed in 4, 4 and 7 bits as n <= 10, or None when vertex
+    n-1 lacks the largest.  The first two parts alone reject most children;
+    the third is added only where they tie n-1's."""
     x = n - 1
-    ins = _in_masks(out, n)
     degs = [m.bit_count() for m in out]
-    # the invariant (degree, out-degree, out-neighbours' out-degrees) packed in
-    # 4, 4 and 7 bits as n <= 10; its first two parts alone reject most children
     inv = [((o | i).bit_count() << 4 | d) << 7 for o, i, d in zip(out, ins, degs)]
     top = inv[x]
     if max(inv) > top:
@@ -237,12 +224,24 @@ def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
                 low = m & -m
                 inv[v] += degs[low.bit_length() - 1]
                 m ^= low
-    top = inv[x]
-    if max(inv) > top:
+    if max(inv) > inv[x]:
+        return None
+    return inv
+
+
+def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
+    """Canonical-augmentation acceptance for a child whose new vertex is n-1.
+
+    Returns the child's pinned-last digits (the minimum code over labellings
+    that put n-1 last) when n-1 lies in the child's deletion orbit, else None.
+    """
+    ins = _in_masks(out, n)
+    inv = _top_invariant(out, ins, n)
+    if inv is None:
         return None
     best = _last_pinned_digits(out, ins, n)
-    for w in range(x):
-        if inv[w] == top and _search(out, ins, n, bytearray(best), w, stop_early=True):
+    for w in range(n - 1):
+        if inv[w] == inv[-1] and _search(out, ins, n, bytearray(best), w, stop_early=True):
             return None
     return bytes(best)
 
@@ -419,8 +418,8 @@ def _twin_images(masks: Sequence[int], ins: Sequence[int],
     Swapping false twins u < w (equal out- and in-masks) is an automorphism,
     so an extension whose state at u exceeds its state at w has the same
     child, up to an isomorphism fixing the new vertex, as the extension with
-    the two states swapped, which is listed earlier.  accept_child gives both
-    the same answer, so the later one adds no class that seen lacks.
+    the two states swapped, which is listed earlier.  accept_child and _grow
+    give both the same answer, so the later one adds no class.
     Comparing each twin with the previous member of its class drops the same
     positions as comparing every pair.
     """
@@ -440,10 +439,10 @@ def _dropped(masks: Sequence[int], ins: Sequence[int], sets: ExtensionSets) -> i
     every position from some point on).
 
     Besides the twin images, the degree cut drops the children whose new
-    vertex x lacks the largest degree, which accept_child rejects first.  With
-    D the parent's largest degree, those are every x with fewer than D arcs,
-    and every x with exactly D arcs that touches a vertex of degree D (which
-    it lifts to D + 1).
+    vertex x lacks the largest degree, which accept_child and _grow reject
+    first.  With D the parent's largest degree, those are every x with fewer
+    than D arcs, and every x with exactly D arcs that touches a vertex of
+    degree D (which it lifts to D + 1).
     """
     k = len(masks)
     lanes, prefix = sets.lanes, sets.prefix
@@ -473,36 +472,36 @@ def extend_masks(masks: tuple[int, ...], x: int) -> tuple[int, ...]:
     return tuple(new)
 
 
-def canonical_children(
-    masks: tuple[int, ...], k: int, tournament: bool = False
-) -> Iterator[tuple[tuple[int, ...], bytes]]:
-    """(representative masks, pinned-last digits) for each new class obtained
-    by one extension of the k-vertex parent masks.
+def _grow(level: Iterable[tuple[int, ...]], k: int, tournament: bool) -> list[tuple[int, ...]]:
+    """Canonical forms, sorted by canonical digits, of the (k+1)-vertex
+    classes (tournaments: each parent takes only its first 2^k extensions)
+    from one representative per k-vertex class.
 
-    The parent may be any representative of its class; children are
-    deduplicated within the parent (automorphic extension patterns collide).
-    A tournament parent takes only the first 2^k extensions, those with an
-    arc to every old vertex.
+    A child is kept when its new vertex has the largest invariant, and its
+    canonical code dedupes it.  Every class C is reached: C - v is in level
+    for a vertex v with the largest invariant, and some extension gives a
+    child isomorphic to C with v as the new vertex.  The degree cut in
+    _dropped keeps it, as degree is the invariant's first field.  A twin
+    cut drops it only for an earlier extension whose child is isomorphic by
+    a map fixing the new vertex, and that chain ends where neither cut does.
     """
     sets = _extension_sets(k)
     exts = sets.exts
-    window = sets.prefix[k] if tournament else len(exts)
-    live = (1 << window) - 1 & ~_dropped(masks, _in_masks(masks, k), sets)
-    seen: set[bytes] = set()
-    while live:
-        low = live & -live
-        live ^= low
-        code = accept_child(extend_masks(masks, exts[low.bit_length() - 1]), k + 1)
-        if code is None or code in seen:
-            continue
-        seen.add(code)
-        yield masks_from_digits(code, k + 1), code
-
-
-def _sorted_canonical(level: list[tuple[int, ...]], n: int) -> list[OrientedGraph]:
-    """Canonical forms of one representative per class, sorted by canonical digits."""
-    codes = sorted(_min_digits(masks, n) for masks in level)
-    return [OrientedGraph(n, masks_from_digits(d, n)) for d in codes]
+    window = (1 << (sets.prefix[k] if tournament else len(exts))) - 1
+    n = k + 1
+    codes: set[bytes] = set()
+    for masks in level:
+        live = window & ~_dropped(masks, _in_masks(masks, k), sets)
+        while live:
+            low = live & -live
+            live ^= low
+            out = extend_masks(masks, exts[low.bit_length() - 1])
+            ins = _in_masks(out, n)
+            if _top_invariant(out, ins, n) is not None:
+                best = _identity_digits(out, n)
+                _search(out, ins, n, best, None, stop_early=False)
+                codes.add(bytes(best))
+    return [masks_from_digits(d, n) for d in sorted(codes)]
 
 
 def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
@@ -514,8 +513,8 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
         raise TooLargeError(f"enumeration capped at {MAX_ENUM_VERTICES} vertices, got {n}")
     level: list[tuple[int, ...]] = [(0,)]
     for k in range(1, n):
-        level = [child for masks in level for child, _ in canonical_children(masks, k)]
-    yield from _sorted_canonical(level, n)
+        level = _grow(level, k, False)
+    yield from (OrientedGraph(n, masks) for masks in level)
 
 
 _TOURNAMENT_CACHE: dict[int, list[OrientedGraph]] = {}
@@ -533,6 +532,6 @@ def enumerate_tournaments(k: int) -> list[OrientedGraph]:
         start = max(m for m in _TOURNAMENT_CACHE if m <= k)
         level = [g.out for g in _TOURNAMENT_CACHE[start]]
         for m in range(start, k):
-            level = [child for masks in level for child, _ in canonical_children(masks, m, True)]
-            _TOURNAMENT_CACHE[m + 1] = _sorted_canonical(level, m + 1)
+            level = _grow(level, m, True)
+            _TOURNAMENT_CACHE[m + 1] = [OrientedGraph(m + 1, masks) for masks in level]
     return list(_TOURNAMENT_CACHE[k])

@@ -215,9 +215,9 @@ class PatternSpec:
             "adpath": PatternSpec.antidirected_path,
             "c": PatternSpec.directed_cycle,  # c3 is shorthand for dcycle3
         }
-        for prefix in ("dpath", "dcycle", "ttour", "matching", "adpath", "c"):
+        for prefix, build in prefixed.items():
             if t.startswith(prefix) and t[len(prefix):].isdigit():
-                return prefixed[prefix](int(t[len(prefix):]))
+                return build(int(t[len(prefix):]))
         raise BadParamsError(f"unknown pattern token {token!r}")
 
 
@@ -747,7 +747,7 @@ def oracle_exo(
     deletions = _deletions(f)
     seed = _construction_seed(spec, n)
     best = seed.arc_count if seed is not None else -1
-    best_digits = None if seed is None else bytes(int(c) for c in canonical_code(seed).digits)
+    best_digits = None if seed is None else _min_digits(seed.out, n)
 
     # with several workers, grow the levels below the split here, then deal
     # the frontier out round-robin to this process and forked children; each

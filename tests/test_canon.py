@@ -19,11 +19,11 @@ from orituran.canon import (
     CanonicalCode,
     _dropped,
     _extension_sets,
+    _grow,
     _min_digits,
     _twin_images,
     accept_child,
     automorphism_order,
-    canonical_children,
     canonical_code,
     enumerate_oriented_graphs,
     enumerate_tournaments,
@@ -123,6 +123,15 @@ def test_code_invariant_under_relabelling_of_symmetric_graphs(g):
         assert canonical_code(_relabel(g, rng)) == base
 
 
+def _naive_invariant(g, v):
+    """(degree, out-degree, sum of out-neighbours' out-degrees) of v."""
+    outs = [w for w in range(g.n) if g.has_arc(v, w)]
+    ins = [u for u in range(g.n) if g.has_arc(u, v)]
+    return len(outs) + len(ins), len(outs), sum(
+        1 for w in outs for z in range(g.n) if g.has_arc(w, z)
+    )
+
+
 def _naive_accept(g):
     """Pinned-last code of vertex n-1 if it is in the deletion orbit, else None.
 
@@ -132,18 +141,11 @@ def _naive_accept(g):
     """
     n = g.n
 
-    def invariant(v):
-        outs = [w for w in range(n) if g.has_arc(v, w)]
-        ins = [u for u in range(n) if g.has_arc(u, v)]
-        return len(outs) + len(ins), len(outs), sum(
-            1 for w in outs for z in range(n) if g.has_arc(w, z)
-        )
-
     def pinned(v):
         rest = [u for u in range(n) if u != v]
         return min(_perm_code(g, perm + (v,)) for perm in itertools.permutations(rest))
 
-    inv = [invariant(v) for v in range(n)]
+    inv = [_naive_invariant(g, v) for v in range(n)]
     if inv[n - 1] != max(inv):
         return None
     code = pinned(n - 1)
@@ -431,6 +433,10 @@ def test_oriented_graph_count_n6():
     assert _codes_sha256(graphs, sorted) == (
         "307d000a0460b6538e173bf175e7f43b376da2ca0df8032b97bdd837f3ed2cd3"
     )
+    # enumeration order is sorted by canonical digits, so the order pins too
+    assert _codes_sha256(graphs) == (
+        "307d000a0460b6538e173bf175e7f43b376da2ca0df8032b97bdd837f3ed2cd3"
+    )
 
 
 def test_class_sets_are_pinned():
@@ -567,22 +573,44 @@ def test_degree_cut_drops_only_rejected_children(k, p_arc, seed):
             assert accept_child(extend_masks(parent.out, x), k + 1) is None, (parent, x)
 
 
-def _reference_children(masks, k, tournament):
-    """canonical_children as one accept_child call per listed extension."""
-    seen = set()
+def _classes(graphs):
+    """Canonical masks of the classes among graphs, sorted by canonical digits."""
+    codes = {(g.n, _min_digits(g.out, g.n)) for g in graphs}
+    return [masks_from_digits(d, n) for n, d in sorted(codes)]
+
+
+def _labelled_tournaments(n):
+    pairs = list(itertools.combinations(range(n), 2))
+    for flips in itertools.product((False, True), repeat=len(pairs)):
+        yield OrientedGraph.from_arcs(n, ((j, i) if f else (i, j) for (i, j), f in zip(pairs, flips)))
+
+
+@pytest.mark.parametrize("tournament, n", [(False, 2), (False, 3), (False, 4),
+                                           (True, 2), (True, 3), (True, 4), (True, 5)])
+def test_grow_gives_every_class_from_a_complete_level(tournament, n):
+    labelled = _labelled_tournaments if tournament else _all_labelled
+    level = _classes(labelled(n - 1))
+    assert _grow(level, n - 1, tournament) == _classes(labelled(n))
+
+
+def _naive_children(masks, k, tournament):
+    """The children, over every extension, whose new vertex has the largest
+    (degree, out-degree, sum of out-neighbours' out-degrees)."""
     for state in _state_rule(k, tournament):
-        code = accept_child(extend_masks(masks, _state_int(state, k)), k + 1)
-        if code is None or code in seen:
-            continue
-        seen.add(code)
-        yield masks_from_digits(code, k + 1), code
+        g = OrientedGraph(k + 1, _extend_by_state(masks, state))
+        inv = [_naive_invariant(g, v) for v in range(k + 1)]
+        if inv[k] == max(inv):
+            yield g
 
 
-@settings(max_examples=100)
-@given(*_PARENTS)
-def test_canonical_children_match_the_per_extension_loop(k, p_arc, seed):
-    parent = _random_graph(random.Random(seed), k, p_arc)
-    for tournament in (False, True) if p_arc == 1.0 else (False,):
-        assert list(canonical_children(parent.out, k, tournament)) == list(
-            _reference_children(parent.out, k, tournament)
-        )
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.booleans(), st.integers(0, 2**32 - 1))
+def test_grow_on_a_partial_level_ignores_labelling_and_order(k, tournament, seed):
+    rng = random.Random(seed)
+    classes = enumerate_tournaments(k) if tournament else list(enumerate_oriented_graphs(k))
+    part = rng.sample(classes, min(len(classes), rng.randint(1, 6)))
+    want = _classes(child for g in part for child in _naive_children(g.out, k, tournament))
+    assert _grow([g.out for g in part], k, tournament) == want
+    relabelled = [_relabel(g, rng).out for g in part]
+    rng.shuffle(relabelled)
+    assert _grow(relabelled, k, tournament) == want

@@ -1,4 +1,5 @@
-"""Every name a module under src/orituran imports is referenced in it."""
+"""Every name a module under src/orituran imports is referenced in it, and
+every private helper it defines is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -51,3 +52,37 @@ def test_no_unused_imports():
             if (path.stem, name) not in ALLOWED:
                 unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+def _private_definitions(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported anywhere in tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_no_dead_private_helpers():
+    """Every top-level _name a module defines is read somewhere in the package."""
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
+    used = set().union(*map(_uses, trees))
+    dead = {name for tree in trees for name in _private_definitions(tree)} - used
+    assert sorted(dead) == []
