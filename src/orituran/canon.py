@@ -60,8 +60,7 @@ at n = 5.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
 
@@ -260,8 +259,7 @@ def masks_from_digits(digits: bytes, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class CanonicalCode:
+class CanonicalCode(NamedTuple):
     """Minimal row-major ternary code; ordering is (n, digits) lexicographic."""
 
     n: int
@@ -341,8 +339,7 @@ def automorphism_order(g: OrientedGraph) -> int:
 
 # --- isomorph-free generation -------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionSets:
+class ExtensionSets(NamedTuple):
     """The ways to join a new vertex x to k old ones, and sets of their
     positions as ints: bit p stands for the p-th extension, so one big-int
     operation acts on all 3^k of them.

@@ -28,7 +28,6 @@ from .extremal import (
 )
 from .graphs import (
     BipartiteDigraph,
-    GraphError,
     OrientedGraph,
     ParseError,
     TooLargeError,
@@ -36,7 +35,7 @@ from .graphs import (
     decode_undirected,
     encode,
 )
-from .homomorphism import EmptyPatternError, compressibility
+from .homomorphism import compressibility
 from .regularize import RegularizeError, faks_pipeline
 
 EXIT_OK = 0
@@ -301,7 +300,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: certified lower bound {exc.lower_bound}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, EmptyPatternError, GraphError) as exc:
+    except ValueError as exc:
         code = _exit_code_for(exc)
         print(f"error: {exc}", file=sys.stderr)
         return code

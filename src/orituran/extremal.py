@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import marshal
 import os
-from dataclasses import dataclass
-from typing import Iterable, NoReturn, Optional, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 from .canon import (
     MAX_CODE_VERTICES,
@@ -77,8 +76,7 @@ class BudgetExceededError(Exception):
         return type(self), (self.lower_bound, self.witness, self.nodes)
 
 
-@dataclass(frozen=True)
-class PatternSpec:
+class PatternSpec(NamedTuple):
     """A named forbidden pattern together with its concrete graph.
 
     kind is one of dpath, dcycle, ttour, star, matching, adpath, oc4, prop23,
@@ -462,8 +460,7 @@ def _construction_seed(spec: PatternSpec, n: int) -> Optional[OrientedGraph]:
     return best
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     """Exact exo value with a verified witness and the nodes searched for it;
     verify_against_formula compares it with the closed form."""
 
@@ -785,8 +782,7 @@ def oracle_exo(
     return ExtremalRecord(n, spec, best, witness, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     oracle: int
     formula: int
@@ -795,8 +791,7 @@ class VerifyRow:
     witness_code: str
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     pattern: PatternSpec
     rows: tuple[VerifyRow, ...]
 

@@ -15,10 +15,9 @@ same format with a literal "undirected" line before n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -82,28 +81,47 @@ def _in_masks(out: Sequence[int], n: int) -> list[int]:
     return ins
 
 
-@dataclass(frozen=True)
+def _read_only(self, name, *value):
+    """__setattr__ and __delattr__ of the two immutable graph types."""
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
 class OrientedGraph:
     """Immutable oriented graph; out[u] is the bitset of heads of arcs u->v."""
 
     n: int
     out: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_vertex_count(self.n)
-        if len(self.out) != self.n:
+    def __init__(self, n: int, out: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "out", out)
+        _check_vertex_count(n)
+        if len(out) != n:
             raise InvariantError("out-mask tuple length does not match n")
-        full = (1 << self.n) - 1
-        for u, mask in enumerate(self.out):
+        full = (1 << n) - 1
+        for u, mask in enumerate(out):
             if mask & ~full:
                 raise InvariantError(f"out-mask of {u} references vertices >= n")
             if mask >> u & 1:
                 raise LoopArcError(f"loop at vertex {u}")
-        for u, (mask, ins) in enumerate(zip(self.out, self.in_masks)):
+        for u, (mask, ins) in enumerate(zip(out, self.in_masks)):
             both = mask & ins
             if both:
                 v = (both & -both).bit_length() - 1
                 raise AntiparallelArcError(f"antiparallel pair between {u} and {v}")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not OrientedGraph:
+            return NotImplemented
+        return self.n == other.n and self.out == other.out
+
+    def __hash__(self):
+        return hash((self.n, self.out))
+
+    def __repr__(self):
+        return f"OrientedGraph(n={self.n!r}, out={self.out!r})"
 
     @staticmethod
     def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> "OrientedGraph":
@@ -165,8 +183,7 @@ class OrientedGraph:
         return OrientedGraph(len(vertices), tuple(out))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """Per-vertex in/out degrees plus the aggregate stats used by the pipeline."""
 
     in_degrees: tuple[int, ...]
@@ -202,7 +219,6 @@ def degree_profile(g: OrientedGraph) -> DegreeProfile:
     )
 
 
-@dataclass(frozen=True)
 class BipartiteDigraph:
     """Bipartite digraph with all arcs from part_u to part_w.
 
@@ -215,17 +231,36 @@ class BipartiteDigraph:
     part_w: tuple[int, ...]
     out_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        ids = set(self.part_u)
-        ids.update(self.part_w)
-        if len(ids) != len(self.part_u) + len(self.part_w):
+    def __init__(self, part_u: tuple[int, ...], part_w: tuple[int, ...],
+                 out_masks: tuple[int, ...]):
+        object.__setattr__(self, "part_u", part_u)
+        object.__setattr__(self, "part_w", part_w)
+        object.__setattr__(self, "out_masks", out_masks)
+        ids = set(part_u)
+        ids.update(part_w)
+        if len(ids) != len(part_u) + len(part_w):
             raise InvariantError("parts overlap or contain duplicates")
-        if len(self.out_masks) != len(self.part_u):
+        if len(out_masks) != len(part_u):
             raise InvariantError("out_masks length does not match part_u")
-        full = (1 << len(self.part_w)) - 1
-        for i, m in enumerate(self.out_masks):
+        full = (1 << len(part_w)) - 1
+        for i, m in enumerate(out_masks):
             if m & ~full:
                 raise InvariantError(f"out-mask {i} references indices outside part_w")
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not BipartiteDigraph:
+            return NotImplemented
+        return (self.part_u == other.part_u and self.part_w == other.part_w
+                and self.out_masks == other.out_masks)
+
+    def __hash__(self):
+        return hash((self.part_u, self.part_w, self.out_masks))
+
+    def __repr__(self):
+        return (f"BipartiteDigraph(part_u={self.part_u!r}, part_w={self.part_w!r}, "
+                f"out_masks={self.out_masks!r})")
 
     @staticmethod
     def from_arcs(part_u: Sequence[int], part_w: Sequence[int],

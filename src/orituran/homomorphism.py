@@ -13,10 +13,9 @@ acyclic, and a directed closed walk maps to a directed closed walk).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
 from .graphs import GraphError, OrientedGraph, TooLargeError
@@ -26,8 +25,7 @@ class EmptyPatternError(GraphError):
     """Pattern has no arcs; the question degenerates."""
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(NamedTuple):
     """A vertex assignment between two graphs; may be partial for diagnostics."""
 
     source_n: int
@@ -208,8 +206,7 @@ def hom_exists(f: OrientedGraph, d: OrientedGraph) -> Optional[VertexMap]:
     return None if found is None else VertexMap.of(f.n, d.n, found)
 
 
-@dataclass(frozen=True)
-class CompressibilityResult:
+class CompressibilityResult(NamedTuple):
     """value None means infinite; witness is a (value-1)-vertex tournament
     admitting no homomorphism from the pattern (None when infinite)."""
 

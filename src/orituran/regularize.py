@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import BadParamsError, BipartiteDigraph, InvariantError, OrientedGraph, TooLargeError
 from .homomorphism import VertexMap
@@ -108,8 +107,7 @@ def extract_bipartite(g: OrientedGraph, seed: int) -> BipartiteDigraph:
 # --- almost-regular refinement --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegularizeResult:
+class RegularizeResult(NamedTuple):
     """Output of the degree-bucket refinement.
 
     c is the density constant measured at the level where the final extraction
@@ -269,8 +267,7 @@ def almost_regular_subdigraph(
 # --- rich sets and embedding ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RichSetCertificate:
+class RichSetCertificate(NamedTuple):
     """Subset R of the W side where every r-subset has >= h common in-neighbors;
     verify_certificate checks the claim."""
 
@@ -406,8 +403,7 @@ def verify_bipartite_embedding(
 # --- random zooming --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZoomConfig:
+class ZoomConfig(NamedTuple):
     """Zoom parameters: pattern out-degree bound r, pattern size h, host
     minimum out-degree d and the sampling seed.  The sampling probability p
     follows from the host and is derived by the zoom itself."""
@@ -527,8 +523,7 @@ def _random_zoom_stats(
 # --- composed pipeline ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """Embedding (when every stage's hypotheses held) plus stage-labeled
     measurements; failure carries the stage name and reason otherwise."""
 

@@ -426,9 +426,9 @@ def _codes_sha256(graphs, order=lambda codes: codes):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_oriented_graph_count_n6():
+def test_oriented_graph_count_n6(oriented_graphs_6):
     # OEIS A001174; the sorted codes pin the class set itself
-    graphs = list(enumerate_oriented_graphs(6))
+    graphs = oriented_graphs_6
     assert len(graphs) == 21480
     assert _codes_sha256(graphs, sorted) == (
         "307d000a0460b6538e173bf175e7f43b376da2ca0df8032b97bdd837f3ed2cd3"

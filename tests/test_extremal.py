@@ -15,6 +15,8 @@ from orituran.canon import (
     _extension_sets,
     _min_digits,
     accept_child,
+    canonical_code,
+    enumerate_oriented_graphs,
     extend_masks,
     masks_from_digits,
 )
@@ -38,6 +40,7 @@ from orituran.graphs import (
     _in_masks,
 )
 from orituran.homomorphism import EmptyPatternError, SearchPlan
+from test_containment import _naive_contains
 
 
 def _all_labelled(n):
@@ -222,6 +225,57 @@ def test_oracle_frozen_values():
         rec = oracle_exo(n, PatternSpec.parse(token))
         assert (rec.value, rec.nodes) == (want, nodes), (token, n)
         assert is_free(rec.witness, PatternSpec.parse(token).graph)
+
+
+# The paper's table: every oriented graph F with 1-3 arcs and no isolated
+# vertex, by canonical code, with exo(n, F) for n = 2..6.
+THREE_ARC_EXO = {
+    "2:1": (0, 0, 0, 0, 0),
+    "3:011": (1, 3, 4, 5, 6),
+    "3:012": (1, 2, 4, 6, 9),
+    "3:022": (1, 3, 4, 5, 6),
+    "3:111": (1, 3, 5, 8, 12),
+    "3:121": (1, 3, 6, 10, 15),
+    "4:001011": (1, 3, 6, 10, 12),
+    "4:001012": (1, 3, 6, 9, 12),
+    "4:001022": (1, 3, 6, 9, 12),
+    "4:001100": (1, 3, 3, 4, 5),
+    "4:001101": (1, 3, 5, 7, 9),
+    "4:001110": (1, 3, 5, 7, 9),
+    "4:001120": (1, 3, 5, 8, 12),
+    "4:002022": (1, 3, 6, 10, 12),
+    "4:002110": (1, 3, 5, 7, 9),
+    "5:0001001100": (1, 3, 6, 7, 9),
+    "5:0001002100": (1, 3, 6, 7, 9),
+    "5:0001020200": (1, 3, 6, 7, 9),
+    "6:000010010100000": (1, 3, 6, 10, 10),
+}
+
+
+def test_three_arc_table_up_to_six(oriented_graphs_6):
+    classes = [g for k in range(2, 6) for g in enumerate_oriented_graphs(k)]
+    patterns = {
+        canonical_code(f).serialize(): f
+        for f in classes + list(oriented_graphs_6)
+        if 1 <= f.arc_count <= 3 and all(o | i for o, i in zip(f.out, f.in_masks))
+    }
+    assert sorted(patterns) == sorted(THREE_ARC_EXO)
+    exo = {code: tuple(oracle_exo(n, PatternSpec.custom(f)).value for n in range(2, 7))
+           for code, f in patterns.items()}
+    assert exo == THREE_ARC_EXO
+    # densest classes first, so the first F-free one has exo(n, F) arcs
+    hosts = {n: sorted(enumerate_oriented_graphs(n), key=lambda g: -g.arc_count)
+             for n in range(2, 6)}
+    for code, f in patterns.items():
+        assert exo[canonical_code(f.reverse()).serialize()] == exo[code]
+        value = dict(zip(range(2, 7), exo[code]))
+        for n in range(3, 7):
+            # an isolated vertex keeps a graph F-free; averaging over the n
+            # vertex deletions counts each arc n - 2 times
+            assert value[n - 1] <= value[n] <= n * value[n - 1] // (n - 2), (code, n)
+        for n in range(2, 6):
+            free = next(g for g in hosts[n] if not _naive_contains(g, f))
+            assert value[n] == free.arc_count, (code, n)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,7 +1,11 @@
-"""Every name a module under src/orituran imports is referenced in it, and
-every private helper it defines is referenced somewhere in the package."""
+"""Every name a module under src/orituran imports is referenced in it,
+every private helper it defines is referenced somewhere in the package, and
+a cold CLI start loads no module the package does not need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import orituran
@@ -86,3 +90,41 @@ def test_no_dead_private_helpers():
     used = set().union(*map(_uses, trees))
     dead = {name for tree in trees for name in _private_definitions(tree)} - used
     assert sorted(dead) == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize on every cold start
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.stem}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    assert found == []
+
+
+def _modules_after(code: str) -> set[str]:
+    """The modules loaded once code has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code += "; print(); print(' '.join(sorted(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return set(run.stdout.splitlines()[-1].split())
+
+
+def test_cli_cold_start_loads_neither_dataclasses_nor_inspect():
+    # compared with a bare interpreter, because site may preload modules
+    bare = _modules_after("import sys")
+    loaded = _modules_after(
+        "import sys; from orituran import cli; "
+        "cli.main(['construct', 'turan', '--n', '20', '--r', '3'])"
+    ) - bare
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    # an eager import: a process that forks after importing cli shares
+    # regularize with its children instead of compiling it in each
+    assert "orituran.regularize" in loaded
