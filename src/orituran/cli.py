@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .containment import all_orientations_contain, all_tournaments_contain
 from .extremal import (
+    CONSTRUCTIONS,
     BadParamsError,
     BudgetExceededError,
     ExtremalRecord,
@@ -246,10 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exo)
 
     p = subs.add_parser("construct", help="named construction as .og text")
-    p.add_argument(
-        "name",
-        choices=["turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27"],
-    )
+    p.add_argument("name", choices=CONSTRUCTIONS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--p", type=int)

@@ -76,13 +76,41 @@ class BudgetExceededError(Exception):
         return type(self), (self.lower_bound, self.witness, self.nodes)
 
 
+# token prefix -> (kind, least parameter, error below it, vertex count, arcs)
+_FAMILIES = {
+    "dpath": ("dpath", 2, "a directed path needs at least 2 vertices",
+              lambda k: k, lambda k: [(i, i + 1) for i in range(k - 1)]),
+    "dcycle": ("dcycle", 3, "a directed cycle needs at least 3 vertices",
+               lambda k: k, lambda k: [(i, (i + 1) % k) for i in range(k)]),
+    "ttour": ("ttour", 2, "a transitive tournament pattern needs at least 2 vertices",
+              lambda k: k, lambda k: [(i, j) for i in range(k) for j in range(i + 1, k)]),
+    "matching": ("matching", 1, "matching needs k >= 1",
+                 lambda k: 2 * k, lambda k: [(2 * i, 2 * i + 1) for i in range(k)]),
+    # alternating arcs, the first one forward
+    "adpath": ("adpath", 2, "an antidirected path needs at least 2 vertices",
+               lambda k: k, lambda k: [(i, i + 1) if i % 2 == 0 else (i + 1, i)
+                                       for i in range(k - 1)]),
+}
+_FAMILIES["c"] = _FAMILIES["dcycle"]  # c3 is shorthand for dcycle3
+
+# token -> (vertex count, arcs)
+_FIXED = {
+    "oc4": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),  # four-cycle a->b, b->c, c->d, a->d
+    "prop23": (4, [(0, 1), (1, 2), (3, 2)]),  # a->b, b->c, d->c
+    "prop23m": (4, [(1, 0), (1, 2), (2, 3)]),  # prop23 arc-reversed: b->a, b->c, c->d
+    "p3plusarc": (5, [(0, 1), (2, 1), (3, 4)]),  # a->b, c->b and an independent arc d->e
+    "thm32": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),  # diamond x->y1, x->y2, y1->z, y2->z
+}
+
+
 class PatternSpec(NamedTuple):
     """A named forbidden pattern together with its concrete graph.
 
     kind is one of dpath, dcycle, ttour, star, matching, adpath, oc4, prop23,
     prop23m, p3plusarc, thm32, custom.  Tokens render as dpath3, star:1,2,
-    oc4, ...; c3 is accepted as an alias for dcycle3.  Each factory checks its
-    vertex count against the graph cap before it builds any arc list.
+    oc4, ...; c3 is accepted as an alias for dcycle3.  star:p,q has a centre
+    of in-degree p and out-degree q.  parse checks the vertex count against
+    the graph cap before it builds any arc list.
     """
 
     kind: str
@@ -98,87 +126,6 @@ class PatternSpec(NamedTuple):
         return self.kind
 
     @staticmethod
-    def directed_path(k: int) -> "PatternSpec":
-        if k < 2:
-            raise BadParamsError("a directed path needs at least 2 vertices")
-        _check_vertex_count(k)
-        g = OrientedGraph.from_arcs(k, [(i, i + 1) for i in range(k - 1)])
-        return PatternSpec("dpath", (k,), g)
-
-    @staticmethod
-    def directed_cycle(k: int) -> "PatternSpec":
-        if k < 3:
-            raise BadParamsError("a directed cycle needs at least 3 vertices")
-        _check_vertex_count(k)
-        g = OrientedGraph.from_arcs(k, [(i, (i + 1) % k) for i in range(k)])
-        return PatternSpec("dcycle", (k,), g)
-
-    @staticmethod
-    def transitive_tournament(k: int) -> "PatternSpec":
-        if k < 2:
-            raise BadParamsError("a transitive tournament pattern needs at least 2 vertices")
-        _check_vertex_count(k)
-        g = OrientedGraph.from_arcs(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
-        return PatternSpec("ttour", (k,), g)
-
-    @staticmethod
-    def star(p: int, q: int) -> "PatternSpec":
-        """Oriented star: center of in-degree p and out-degree q, p + q leaves."""
-        if p < 0 or q < 0 or p + q < 1:
-            raise BadParamsError("star needs p, q >= 0 with p + q >= 1")
-        _check_vertex_count(p + q + 1)
-        arcs = [(i, 0) for i in range(1, p + 1)]
-        arcs += [(0, p + j) for j in range(1, q + 1)]
-        return PatternSpec("star", (p, q), OrientedGraph.from_arcs(p + q + 1, arcs))
-
-    @staticmethod
-    def matching(k: int) -> "PatternSpec":
-        if k < 1:
-            raise BadParamsError("matching needs k >= 1")
-        _check_vertex_count(2 * k)
-        g = OrientedGraph.from_arcs(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
-        return PatternSpec("matching", (k,), g)
-
-    @staticmethod
-    def antidirected_path(k: int) -> "PatternSpec":
-        """Path on k vertices with alternating arcs, first arc forward."""
-        if k < 2:
-            raise BadParamsError("an antidirected path needs at least 2 vertices")
-        _check_vertex_count(k)
-        arcs = [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(k - 1)]
-        return PatternSpec("adpath", (k,), OrientedGraph.from_arcs(k, arcs))
-
-    @staticmethod
-    def oriented_c4() -> "PatternSpec":
-        """Four-cycle oriented a->b, b->c, c->d, a->d."""
-        g = OrientedGraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        return PatternSpec("oc4", (), g)
-
-    @staticmethod
-    def prop23() -> "PatternSpec":
-        """Four vertices, arcs a->b, b->c, d->c."""
-        g = OrientedGraph.from_arcs(4, [(0, 1), (1, 2), (3, 2)])
-        return PatternSpec("prop23", (), g)
-
-    @staticmethod
-    def prop23_mirror() -> "PatternSpec":
-        """Arc-reversed twin of prop23: b->a, b->c, c->d."""
-        g = OrientedGraph.from_arcs(4, [(1, 0), (1, 2), (2, 3)])
-        return PatternSpec("prop23m", (), g)
-
-    @staticmethod
-    def p3_plus_arc() -> "PatternSpec":
-        """Two arcs into a shared middle vertex plus one independent arc."""
-        g = OrientedGraph.from_arcs(5, [(0, 1), (2, 1), (3, 4)])
-        return PatternSpec("p3plusarc", (), g)
-
-    @staticmethod
-    def thm32() -> "PatternSpec":
-        """Diamond x->y1, x->y2, y1->z, y2->z."""
-        g = OrientedGraph.from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        return PatternSpec("thm32", (), g)
-
-    @staticmethod
     def custom(graph: OrientedGraph) -> "PatternSpec":
         if graph.arc_count == 0:
             raise EmptyPatternError("a custom pattern needs at least one arc")
@@ -187,15 +134,9 @@ class PatternSpec(NamedTuple):
     @staticmethod
     def parse(token: str) -> "PatternSpec":
         t = token.strip().lower()
-        fixed = {
-            "oc4": PatternSpec.oriented_c4,
-            "prop23": PatternSpec.prop23,
-            "prop23m": PatternSpec.prop23_mirror,
-            "p3plusarc": PatternSpec.p3_plus_arc,
-            "thm32": PatternSpec.thm32,
-        }
-        if t in fixed:
-            return fixed[t]()
+        if t in _FIXED:
+            n, arcs = _FIXED[t]
+            return PatternSpec(t, (), OrientedGraph.from_arcs(n, arcs))
         if t.startswith("star:"):
             parts = t[5:].split(",")
             if len(parts) != 2:
@@ -204,18 +145,20 @@ class PatternSpec(NamedTuple):
                 p, q = int(parts[0]), int(parts[1])
             except ValueError:
                 raise BadParamsError(f"bad star parameters in {token!r}") from None
-            return PatternSpec.star(p, q)
-        prefixed = {
-            "dpath": PatternSpec.directed_path,
-            "dcycle": PatternSpec.directed_cycle,
-            "ttour": PatternSpec.transitive_tournament,
-            "matching": PatternSpec.matching,
-            "adpath": PatternSpec.antidirected_path,
-            "c": PatternSpec.directed_cycle,  # c3 is shorthand for dcycle3
-        }
-        for prefix, build in prefixed.items():
-            if t.startswith(prefix) and t[len(prefix):].isdigit():
-                return build(int(t[len(prefix):]))
+            if p < 0 or q < 0 or p + q < 1:
+                raise BadParamsError("star needs p, q >= 0 with p + q >= 1")
+            _check_vertex_count(p + q + 1)
+            # centre 0, in-leaves 1..p, out-leaves p+1..p+q
+            arcs = [(i, 0) for i in range(1, p + 1)] + [(0, p + j) for j in range(1, q + 1)]
+            return PatternSpec("star", (p, q), OrientedGraph.from_arcs(p + q + 1, arcs))
+        for prefix, (kind, least, message, vertices, arcs) in _FAMILIES.items():
+            rest = t[len(prefix):]
+            if t.startswith(prefix) and rest.isdecimal():
+                k = int(rest)
+                if k < least:
+                    raise BadParamsError(message)
+                _check_vertex_count(vertices(k))
+                return PatternSpec(kind, (k,), OrientedGraph.from_arcs(vertices(k), arcs(k)))
         raise BadParamsError(f"unknown pattern token {token!r}")
 
 
@@ -295,6 +238,9 @@ def _cycle_power_arcs(vertices: Sequence[int], width: int) -> list[tuple[int, in
     return [
         (vertices[i], vertices[(i + s) % m]) for i in range(m) for s in range(1, width + 1)
     ]
+
+
+CONSTRUCTIONS = ("turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27")
 
 
 def build_construction(
@@ -417,7 +363,7 @@ def _seed_candidates(spec: PatternSpec, n: int) -> list[OrientedGraph]:
     if kind == "star":
         p, q = spec.params
         if p > q:
-            mirror = PatternSpec.star(q, p)
+            mirror = PatternSpec.parse(f"star:{q},{p}")
             return [g.reverse() for g in _seed_candidates(mirror, n)]
         if p == 0:
             attempt("cyclepower", q=q)
@@ -453,7 +399,7 @@ def _construction_seed(spec: PatternSpec, n: int) -> Optional[OrientedGraph]:
     """Best verified pattern-free construction on n vertices, if any applies."""
     best: Optional[OrientedGraph] = None
     for g in _seed_candidates(spec, n):
-        if g.n != n or not is_free(g, spec.graph):
+        if not is_free(g, spec.graph):
             continue
         if best is None or g.arc_count > best.arc_count:
             best = g

@@ -297,6 +297,21 @@ def test_construct_cap(capsys):
     assert out == "" and err == "error: vertex count 100000 exceeds cap 64\n"
 
 
+def test_construct_choices_are_the_named_constructions(capsys):
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    name = next(a for a in subs.choices["construct"]._actions if a.dest == "name")
+    assert tuple(name.choices) == extremal.CONSTRUCTIONS
+    # the kwargs the construction tests use
+    kwargs = {"turan": {"r": 3}, "cyclepower": {"q": 3}, "starpartition": {"p": 1, "q": 2}}
+    for construction in extremal.CONSTRUCTIONS:
+        g = extremal.build_construction(construction, 6, **kwargs.get(construction, {}))
+        assert g.n == 6 and g.arc_count > 0, construction
+    code, _, err = _run(capsys, ["construct", "nosuch", "--n", "4"])
+    assert code == 2
+    assert ("invalid choice: 'nosuch' (choose from 'turan', 'cyclepower', "
+            "'starpartition', 'thm32', 'prop26', 'prop27')") in err
+
+
 def test_embed_diagnostic_and_determinism(og_dir, capsys):
     import random
 

@@ -1,5 +1,6 @@
 """Exact extremal values: oracle vs brute force, closed forms, constructions."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -104,6 +105,50 @@ def test_pattern_shapes():
 def test_custom_pattern_needs_arcs():
     with pytest.raises(EmptyPatternError):
         PatternSpec.custom(OrientedGraph.empty(3))
+
+
+def test_parse_pins_every_named_pattern():
+    # each family at its least and a typical size, every fixed token, stars
+    # with an empty side on either end, the c alias, case, spaces, zeros
+    tokens = [
+        "dpath2", "dpath5", "dcycle3", "dcycle6", "ttour2", "ttour5",
+        "matching1", "matching3", "adpath2", "adpath5",
+        "oc4", "prop23", "prop23m", "p3plusarc", "thm32",
+        "star:0,1", "star:1,2", "star:2,0", "c3", " DPATH4 ", "dpath04",
+    ]
+    specs = [PatternSpec.parse(t) for t in tokens]
+    pinned = repr([(s.kind, s.params, s.graph.out) for s in specs]).encode()
+    assert hashlib.sha256(pinned).hexdigest() == (
+        "8598f08d224401c9b28b72784c927c6dc1161ec4459fedba117081e2fb611c13"
+    )
+
+
+@pytest.mark.parametrize("token, exc, message", [
+    ("dpath1", BadParamsError, "a directed path needs at least 2 vertices"),
+    ("dcycle2", BadParamsError, "a directed cycle needs at least 3 vertices"),
+    ("ttour1", BadParamsError, "a transitive tournament pattern needs at least 2 vertices"),
+    ("matching0", BadParamsError, "matching needs k >= 1"),
+    ("adpath1", BadParamsError, "an antidirected path needs at least 2 vertices"),
+    ("star:0,0", BadParamsError, "star needs p, q >= 0 with p + q >= 1"),
+    ("star:-1,2", BadParamsError, "star needs p, q >= 0 with p + q >= 1"),
+    ("star:1", BadParamsError, "star token must look like star:p,q, got 'star:1'"),
+    ("star:a,b", BadParamsError, "bad star parameters in 'star:a,b'"),
+    ("nope5", BadParamsError, "unknown pattern token 'nope5'"),
+    ("ttour3000", VertexCapError, "vertex count 3000 exceeds cap 64"),
+    ("star:99999999,1", VertexCapError, "vertex count 100000001 exceeds cap 64"),
+])
+def test_parse_error_messages(token, exc, message):
+    # the CLI prints these on stderr
+    with pytest.raises(exc) as info:
+        PatternSpec.parse(token)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_parse_rejects_digits_int_cannot_read():
+    # "²" is a digit to str.isdigit but not a decimal, and int() rejects it
+    with pytest.raises(BadParamsError, match="unknown pattern token 'dpath²'"):
+        PatternSpec.parse("dpath²")
 
 
 # --- closed forms ---------------------------------------------------------------
@@ -534,6 +579,20 @@ def test_oracle_jobs_deterministic():
             assert serial.value == parallel.value
             assert serial.witness == parallel.witness
             assert serial.nodes == parallel.nodes, (token, n, jobs)
+
+
+@pytest.mark.parametrize("token, n", [("adpath3", 4), ("adpath5", 6)])
+def test_oracle_witness_is_maximum_and_free_for_every_jobs(token, n):
+    # best rises during the last level here, so the witness the pruned search
+    # retains can differ between jobs (4:012210 serially, 4:002121 with
+    # jobs=3 for adpath3); only the value is independent of jobs
+    spec = PatternSpec.parse(token)
+    records = [oracle_exo(n, spec, jobs=jobs) for jobs in (1, 2, 3)]
+    _assert_no_children()
+    assert len({rec.value for rec in records}) == 1
+    for rec in records:
+        assert rec.witness.arc_count == rec.value
+        assert not _naive_contains(rec.witness, spec.graph)
 
 
 def test_oracle_split_without_fork_matches_forked(monkeypatch):
