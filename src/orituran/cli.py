@@ -11,33 +11,28 @@ cap, 4 budget exhausted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
-from .containment import all_orientations_contain, all_tournaments_contain
-from .extremal import (
-    CONSTRUCTIONS,
-    BadParamsError,
-    BudgetExceededError,
-    ExtremalRecord,
-    PatternSpec,
-    build_construction,
-    check_order,
-    oracle_exo,
-    verify_against_formula,
-)
+# The handlers import the search modules they call, so a start loads only what
+# its subcommand runs: without cached bytecode, each loaded module is compiled
+# at every start.
 from .graphs import (
+    BadParamsError,
     BipartiteDigraph,
+    BudgetExceededError,
     OrientedGraph,
     ParseError,
+    RegularizeError,
     TooLargeError,
     decode,
     decode_undirected,
     encode,
 )
-from .homomorphism import compressibility
-from .regularize import RegularizeError, faks_pipeline
+
+# extremal.CONSTRUCTIONS, spelt out so that building the parser loads no search
+# module; a test keeps the two equal
+_CONSTRUCTIONS = ("turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -47,6 +42,8 @@ EXIT_BUDGET = 4
 
 
 def _dump_json(obj) -> str:
+    import json
+
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -58,8 +55,10 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc.strerror}", 1) from None
 
 
-def _load_pattern(args) -> PatternSpec:
-    """Pattern from --pattern token or --pattern-file .og text."""
+def _load_pattern(args):
+    """PatternSpec from --pattern token or --pattern-file .og text."""
+    from .extremal import PatternSpec
+
     token = getattr(args, "pattern", None)
     path = getattr(args, "pattern_file", None)
     if (token is None) == (path is None):
@@ -106,6 +105,9 @@ def _parse_n_range(text: str) -> range:
 
 def _cmd_compress(args) -> int:
     g = decode(_read_file(args.pattern_file))
+    # imported after decode, so that a bad file loads no search module
+    from .homomorphism import compressibility
+
     res = compressibility(g)
     if args.json:
         obj = {
@@ -123,7 +125,7 @@ def _cmd_compress(args) -> int:
     return EXIT_OK
 
 
-def _record_row(rec: ExtremalRecord) -> dict:
+def _record_row(rec) -> dict:
     return {
         "n": rec.n,
         "value": rec.value,
@@ -133,6 +135,8 @@ def _record_row(rec: ExtremalRecord) -> dict:
 
 
 def _cmd_exo(args) -> int:
+    from .extremal import check_order, oracle_exo, verify_against_formula
+
     spec = _load_pattern(args)
     ns = _parse_n_range(args.n)
     # both ends pass only if every order between them does
@@ -159,6 +163,8 @@ def _cmd_exo(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .extremal import PatternSpec, build_construction
+
     pattern = PatternSpec.parse(args.pattern) if args.pattern else None
     g = build_construction(
         args.name, args.n, r=args.r, p=args.p, q=args.q, d=args.d, pattern=pattern
@@ -168,6 +174,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    from .regularize import faks_pipeline
+
     host = decode(_read_file(args.host))
     spec = _load_pattern(args)
     pattern = _bipartite_from_oriented(spec.graph)
@@ -192,6 +200,8 @@ def _hypothesis_output(holds: bool, counterexample, as_json: bool) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .containment import all_orientations_contain, all_tournaments_contain
+
     spec = _load_pattern(args)
     if args.mode == "all-tournaments":
         holds, cx = all_tournaments_contain(args.k, spec.graph)
@@ -247,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_exo)
 
     p = subs.add_parser("construct", help="named construction as .og text")
-    p.add_argument("name", choices=CONSTRUCTIONS)
+    p.add_argument("name", choices=_CONSTRUCTIONS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--p", type=int)

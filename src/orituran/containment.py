@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .canon import enumerate_tournaments
-from .graphs import InvariantError, OrientedGraph, TooLargeError
-from .homomorphism import SearchPlan, VertexMap, find_map
+from .graphs import InvariantError, OrientedGraph, TooLargeError, VertexMap
+from .homomorphism import SearchPlan, find_map
 
 MAX_ORIENTATION_EDGES = 24
 

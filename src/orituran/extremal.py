@@ -41,6 +41,7 @@ from .canon import (
 from .containment import contains_copy_through, is_free
 from .graphs import (
     BadParamsError,
+    BudgetExceededError,
     GraphError,
     InvariantError,
     OrientedGraph,
@@ -58,22 +59,6 @@ VALID_LARGE = "sufficiently large n"
 
 class NoFormulaError(GraphError):
     """No closed form is available for this pattern."""
-
-
-class BudgetExceededError(Exception):
-    """Search stopped at the node budget; lower_bound is still certified."""
-
-    def __init__(self, lower_bound: int, witness: Optional[OrientedGraph], nodes: int):
-        super().__init__(
-            f"node budget exhausted after {nodes} nodes; certified lower bound {lower_bound}"
-        )
-        self.lower_bound = lower_bound
-        self.witness = witness
-        self.nodes = nodes
-
-    def __reduce__(self):
-        # a forked oracle worker sends its exception to the parent pickled
-        return type(self), (self.lower_bound, self.witness, self.nodes)
 
 
 # token prefix -> (kind, least parameter, error below it, vertex count, arcs)
@@ -103,14 +88,21 @@ _FIXED = {
 }
 
 
+def _is_digits(text: str) -> bool:
+    """Only ASCII digits: int() would also take signs, spaces, underscores and
+    other scripts' digits."""
+    return text.isascii() and text.isdigit()
+
+
 class PatternSpec(NamedTuple):
     """A named forbidden pattern together with its concrete graph.
 
     kind is one of dpath, dcycle, ttour, star, matching, adpath, oc4, prop23,
     prop23m, p3plusarc, thm32, custom.  Tokens render as dpath3, star:1,2,
     oc4, ...; c3 is accepted as an alias for dcycle3.  star:p,q has a centre
-    of in-degree p and out-degree q.  parse checks the vertex count against
-    the graph cap before it builds any arc list.
+    of in-degree p and out-degree q, each parameter written in ASCII digits.
+    parse checks the vertex count against the graph cap before it builds any
+    arc list.
     """
 
     kind: str
@@ -141,11 +133,10 @@ class PatternSpec(NamedTuple):
             parts = t[5:].split(",")
             if len(parts) != 2:
                 raise BadParamsError(f"star token must look like star:p,q, got {token!r}")
-            try:
-                p, q = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise BadParamsError(f"bad star parameters in {token!r}") from None
-            if p < 0 or q < 0 or p + q < 1:
+            if not all(_is_digits(part) for part in parts):
+                raise BadParamsError(f"bad star parameters in {token!r}")
+            p, q = int(parts[0]), int(parts[1])
+            if p + q < 1:
                 raise BadParamsError("star needs p, q >= 0 with p + q >= 1")
             _check_vertex_count(p + q + 1)
             # centre 0, in-leaves 1..p, out-leaves p+1..p+q
@@ -153,7 +144,7 @@ class PatternSpec(NamedTuple):
             return PatternSpec("star", (p, q), OrientedGraph.from_arcs(p + q + 1, arcs))
         for prefix, (kind, least, message, vertices, arcs) in _FAMILIES.items():
             rest = t[len(prefix):]
-            if t.startswith(prefix) and rest.isdecimal():
+            if t.startswith(prefix) and _is_digits(rest):
                 k = int(rest)
                 if k < least:
                     raise BadParamsError(message)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 MAX_VERTICES = 64
 
@@ -61,6 +61,26 @@ class ParseError(GraphError):
 
     def __reduce__(self):
         return type(self), (self.detail, self.line, self.column)
+
+
+class BudgetExceededError(Exception):
+    """Search stopped at the node budget; lower_bound is still certified."""
+
+    def __init__(self, lower_bound: int, witness: Optional[OrientedGraph], nodes: int):
+        super().__init__(
+            f"node budget exhausted after {nodes} nodes; certified lower bound {lower_bound}"
+        )
+        self.lower_bound = lower_bound
+        self.witness = witness
+        self.nodes = nodes
+
+    def __reduce__(self):
+        # a forked oracle worker sends its exception to the parent pickled
+        return type(self), (self.lower_bound, self.witness, self.nodes)
+
+
+class RegularizeError(Exception):
+    """Base for pipeline-stage failures."""
 
 
 def _check_vertex_count(n: int) -> None:
@@ -217,6 +237,25 @@ def degree_profile(g: OrientedGraph) -> DegreeProfile:
         in_degrees=tuple(m.bit_count() for m in g.in_masks),
         out_degrees=tuple(m.bit_count() for m in g.out),
     )
+
+
+class VertexMap(NamedTuple):
+    """A vertex assignment between two graphs; may be partial for diagnostics."""
+
+    source_n: int
+    target_n: int
+    mapping: tuple[tuple[int, int], ...]  # (source vertex, target vertex), sorted
+
+    @staticmethod
+    def of(source_n: int, target_n: int, assignment: dict[int, int]) -> "VertexMap":
+        return VertexMap(source_n, target_n, tuple(sorted(assignment.items())))
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.mapping)
+
+    @property
+    def is_total(self) -> bool:
+        return len(self.mapping) == self.source_n
 
 
 class BipartiteDigraph:

@@ -18,30 +18,11 @@ from operator import or_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
-from .graphs import GraphError, OrientedGraph, TooLargeError
+from .graphs import GraphError, OrientedGraph, TooLargeError, VertexMap
 
 
 class EmptyPatternError(GraphError):
     """Pattern has no arcs; the question degenerates."""
-
-
-class VertexMap(NamedTuple):
-    """A vertex assignment between two graphs; may be partial for diagnostics."""
-
-    source_n: int
-    target_n: int
-    mapping: tuple[tuple[int, int], ...]  # (source vertex, target vertex), sorted
-
-    @staticmethod
-    def of(source_n: int, target_n: int, assignment: dict[int, int]) -> "VertexMap":
-        return VertexMap(source_n, target_n, tuple(sorted(assignment.items())))
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.mapping)
-
-    @property
-    def is_total(self) -> bool:
-        return len(self.mapping) == self.source_n
 
 
 def is_homomorphism(f: OrientedGraph, d: OrientedGraph, vm: VertexMap) -> bool:

@@ -15,16 +15,19 @@ import math
 import random
 from typing import NamedTuple, Optional
 
-from .graphs import BadParamsError, BipartiteDigraph, InvariantError, OrientedGraph, TooLargeError
-from .homomorphism import VertexMap
+from .graphs import (
+    BadParamsError,
+    BipartiteDigraph,
+    InvariantError,
+    OrientedGraph,
+    RegularizeError,
+    TooLargeError,
+    VertexMap,
+)
 
 VERIFY_SUBSET_CAP = 10 ** 6
 EXTRACT_ATTEMPTS = 256  # random balanced partitions tried by extract_bipartite
 ZOOM_RETRIES = 1024  # sampled zooms tried by random_zoom before giving up
-
-
-class RegularizeError(Exception):
-    """Base for pipeline-stage failures."""
 
 
 class AttemptsExhausted(RegularizeError):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orituran
-from orituran import cli, extremal
+from orituran import cli, extremal, regularize
 from orituran.cli import main
 from orituran.extremal import PatternSpec
 from orituran.graphs import VertexCapError, decode
@@ -189,7 +189,6 @@ def test_exo_range_checks_its_ends_before_the_oracle(capsys, monkeypatch, extra)
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle ran")
 
-    monkeypatch.setattr(cli, "oracle_exo", refuse)
     monkeypatch.setattr(extremal, "oracle_exo", refuse)
     code, out, err = _run(capsys, ["exo", "--pattern", "dpath3", "--n", "5..8", *extra])
     assert code == 3 and out == "" and "exhaustive cap 7" in err
@@ -250,6 +249,12 @@ def test_malformed_values_end_in_a_documented_exit_code(og_dir, capsys):
         assert "Traceback" not in err, argv
 
 
+HANDLER_ARGVS = (
+    ["exo", "--n", "3", "--pattern", "dpath3"],
+    ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "1", "--seed", "1"],
+)
+
+
 def test_every_package_exception_maps_to_a_documented_exit_code(capsys, monkeypatch):
     # SAMPLES holds one instance of every exception class of the package
     raising = []
@@ -257,15 +262,28 @@ def test_every_package_exception_maps_to_a_documented_exit_code(capsys, monkeypa
     def fail(*args, **kwargs):
         raise raising[-1]
 
-    monkeypatch.setattr(cli, "oracle_exo", fail)
-    monkeypatch.setattr(cli, "faks_pipeline", fail)
+    # the handlers look these up when they run, so patching the library suffices
+    monkeypatch.setattr(extremal, "oracle_exo", fail)
+    monkeypatch.setattr(regularize, "faks_pipeline", fail)
     monkeypatch.setattr(cli, "_read_file", lambda path: "2\n")
     for exc in SAMPLES:
         raising.append(exc)
-        for argv in (["exo", "--n", "3", "--pattern", "dpath3"],
-                     ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "1", "--seed", "1"]):
+        for argv in HANDLER_ARGVS:
             code, out, err = _run(capsys, argv)
             assert code in (1, 2, 3, 4) and out == "" and "Traceback" not in err, (exc, argv)
+
+
+@pytest.mark.parametrize("argv", HANDLER_ARGVS)
+def test_an_exception_from_outside_the_package_propagates(monkeypatch, argv):
+    # a bug is a traceback, never one of the documented exit codes
+    def fail(*args, **kwargs):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(extremal, "oracle_exo", fail)
+    monkeypatch.setattr(regularize, "faks_pipeline", fail)
+    monkeypatch.setattr(cli, "_read_file", lambda path: "2\n")
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(argv)
 
 
 def test_construct_og_output(capsys):

@@ -21,6 +21,7 @@ from orituran.canon import (
     extend_masks,
     masks_from_digits,
 )
+from orituran.cli import main
 from orituran.containment import is_free
 from orituran.extremal import (
     BadParamsError,
@@ -130,7 +131,7 @@ def test_parse_pins_every_named_pattern():
     ("matching0", BadParamsError, "matching needs k >= 1"),
     ("adpath1", BadParamsError, "an antidirected path needs at least 2 vertices"),
     ("star:0,0", BadParamsError, "star needs p, q >= 0 with p + q >= 1"),
-    ("star:-1,2", BadParamsError, "star needs p, q >= 0 with p + q >= 1"),
+    ("star:-1,2", BadParamsError, "bad star parameters in 'star:-1,2'"),
     ("star:1", BadParamsError, "star token must look like star:p,q, got 'star:1'"),
     ("star:a,b", BadParamsError, "bad star parameters in 'star:a,b'"),
     ("nope5", BadParamsError, "unknown pattern token 'nope5'"),
@@ -143,6 +144,15 @@ def test_parse_error_messages(token, exc, message):
         PatternSpec.parse(token)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("token", ["star:+1,2", "star: 1 , 2", "star:1_0,2", "star:\u0661,2",
+                                   "dpath\u0663"])
+def test_parse_takes_ascii_digits_only(token):
+    # int() reads each of these: a sign, spaces, an underscore, Arabic-Indic digits
+    with pytest.raises(BadParamsError):
+        PatternSpec.parse(token)
+    assert main(["exo", "--n", "3", "--pattern", token]) == 2
 
 
 def test_parse_rejects_digits_int_cannot_read():
@@ -321,6 +331,58 @@ def test_three_arc_table_up_to_six(oriented_graphs_6):
         for n in range(2, 6):
             free = next(g for g in hosts[n] if not _naive_contains(g, f))
             assert value[n] == free.arc_count, (code, n)
+
+
+# Every named token with 1-3 arcs (none has an isolated vertex) and its
+# pattern's code in THREE_ARC_EXO.
+THREE_ARC_TOKENS = {
+    "dpath2": "2:1", "ttour2": "2:1", "matching1": "2:1", "adpath2": "2:1",
+    "star:0,1": "2:1", "star:1,0": "2:1",
+    "dpath3": "3:012", "star:1,1": "3:012",
+    "adpath3": "3:011", "star:2,0": "3:011",
+    "star:0,2": "3:022",
+    "ttour3": "3:111",
+    "dcycle3": "3:121", "c3": "3:121",
+    "dpath4": "4:001120",
+    "adpath4": "4:001110",
+    "matching2": "4:001100",
+    "star:0,3": "4:002022",
+    "star:3,0": "4:001011",
+    "star:1,2": "4:001022",
+    "star:2,1": "4:001012",
+    "prop23": "4:001101",
+    "prop23m": "4:002110",
+    "p3plusarc": "5:0001001100",
+    "matching3": "6:000010010100000",
+}
+
+
+def test_three_arc_tokens_match_the_table():
+    # family numbers above 7 and star parameters above 3 give more than three arcs
+    tokens = [f"{prefix}{k}" for prefix in extremal._FAMILIES for k in range(1, 8)]
+    tokens += [f"star:{p},{q}" for p in range(4) for q in range(4)] + list(extremal._FIXED)
+    named = set()
+    for token in tokens:
+        try:
+            spec = PatternSpec.parse(token)
+        except BadParamsError:
+            continue
+        if spec.graph.arc_count <= 3:
+            named.add(token)
+    assert named == set(THREE_ARC_TOKENS)
+    checked = 0
+    for token, code in THREE_ARC_TOKENS.items():
+        spec = PatternSpec.parse(token)
+        assert canonical_code(spec.graph).serialize() == code, token
+        for n, value in zip(range(2, 7), THREE_ARC_EXO[code]):
+            try:
+                formula, validity = formula_value(spec, n)
+            except NoFormulaError:
+                break
+            if validity == "all n":
+                assert formula == value, (token, n)
+                checked += 1
+    assert checked == 77
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,12 +1,14 @@
 """Every name a module under src/orituran imports is referenced in it,
 every private helper it defines is referenced somewhere in the package, and
-a cold CLI start loads no module the package does not need."""
+a cold CLI start loads only the modules its subcommand runs."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import orituran
 
@@ -92,28 +94,56 @@ def test_no_dead_private_helpers():
     assert sorted(dead) == []
 
 
+def _imported_modules(tree: ast.Module, eager: bool = False):
+    """The modules tree imports, package modules as orituran.name; with eager,
+    only those imported at import time, outside any function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if eager and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            yield from (f"orituran.{name}" for name in names)
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _module_tree(stem: str) -> ast.Module:
+    path = SRC / f"{stem}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses loads inspect, ast, dis and tokenize on every cold start
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.stem}: {m}" for m in modules if m.split(".")[0] == "dataclasses"]
+    found = [f"{path.stem}: {m}" for path in sorted(SRC.glob("*.py"))
+             for m in _imported_modules(_module_tree(path.stem))
+             if m.split(".")[0] == "dataclasses"]
     assert found == []
 
 
-def _modules_after(code: str) -> set[str]:
+def test_cli_imports_search_modules_in_its_handlers():
+    # a start compiles every module it loads, so cli loads them where it calls them
+    lazy = {"orituran.canon", "orituran.homomorphism", "orituran.containment",
+            "orituran.extremal", "orituran.regularize", "json"}
+    assert lazy & set(_imported_modules(_module_tree("cli"), eager=True)) == set()
+
+
+def test_regularize_depends_only_on_graphs():
+    # an embed start and a bench embed pass then compile no other search module
+    package = {m for m in _imported_modules(_module_tree("regularize")) if m.startswith("orituran")}
+    assert package == {"orituran.graphs"}
+
+
+def _modules_after(code: str, cwd=None) -> set[str]:
     """The modules loaded once code has run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     code += "; print(); print(' '.join(sorted(sys.modules)))"
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
+                         text=True, check=True, timeout=60, cwd=cwd)
     return set(run.stdout.splitlines()[-1].split())
 
 
@@ -125,6 +155,34 @@ def test_cli_cold_start_loads_neither_dataclasses_nor_inspect():
         "cli.main(['construct', 'turan', '--n', '20', '--r', '3'])"
     ) - bare
     assert "dataclasses" not in loaded and "inspect" not in loaded
-    # an eager import: a process that forks after importing cli shares
-    # regularize with its children instead of compiling it in each
-    assert "orituran.regularize" in loaded
+    # only embed loads regularize
+    assert "orituran.regularize" not in loaded
+
+
+SEARCH = {"orituran.canon", "orituran.homomorphism", "orituran.containment", "orituran.extremal"}
+START = {"orituran", "orituran.cli", "orituran.graphs"}
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    return _modules_after("import sys")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["construct", "turan", "--n", "20", "--r", "3"], START | SEARCH),
+    (["exo", "--n", "4", "--pattern", "dpath3"], START | SEARCH),
+    (["exo", "--n", "4", "--pattern", "dpath3", "--json"], START | SEARCH | {"json"}),
+    (["check-hypothesis", "all-tournaments", "--k", "4", "--pattern", "dpath3"], START | SEARCH),
+    (["compress", "p3.og"], START | {"orituran.canon", "orituran.homomorphism"}),
+    (["compress", "p3.og", "--json"], START | {"orituran.canon", "orituran.homomorphism", "json"}),
+    (["embed", "--host", "p3.og", "--pattern", "dpath2", "--r", "2", "--seed", "1"],
+     START | SEARCH | {"orituran.regularize", "json"}),
+    # usage errors and main's own checks load no search module
+    (["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"], START),
+    (["check-hypothesis", "all-tournaments", "--pattern", "dpath3"], START),
+    (["compress", "missing.og"], START),
+])
+def test_each_start_loads_only_what_its_subcommand_runs(tmp_path, bare_modules, argv, modules):
+    (tmp_path / "p3.og").write_text("3\n0 1\n1 2\n")
+    loaded = _modules_after(f"import sys; from orituran import cli; cli.main({argv!r})", tmp_path)
+    assert {m for m in loaded - bare_modules if m.startswith("orituran") or m == "json"} == modules
