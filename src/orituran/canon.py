@@ -62,7 +62,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
+from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks, _natural
 
 MAX_CODE_VERTICES = 10
 MAX_ENUM_VERTICES = 7
@@ -273,11 +273,8 @@ class CanonicalCode(NamedTuple):
         head, sep, digits = text.partition(":")
         if not sep:
             raise InvariantError(f"code {text!r} lacks the 'n:' prefix")
-        try:
-            n = int(head)
-        except ValueError:
-            n = -1
-        if n < 0 or str(n) != head:  # only the text serialize writes, one per code
+        n = _natural(head)
+        if n is None or str(n) != head:  # only the text serialize writes, one per code
             raise InvariantError(f"bad vertex count in code {text!r}")
         code = CanonicalCode(n, digits)
         code.to_graph()  # validates length and digit alphabet

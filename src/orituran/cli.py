@@ -25,6 +25,7 @@ from .graphs import (
     ParseError,
     RegularizeError,
     TooLargeError,
+    _natural,
     decode,
     decode_undirected,
     encode,
@@ -90,11 +91,10 @@ def _bipartite_from_oriented(g: OrientedGraph) -> BipartiteDigraph:
 
 def _parse_n_range(text: str) -> range:
     lo_s, dots, hi_s = text.partition("..")
-    try:
-        lo = int(lo_s)
-        hi = int(hi_s) if dots else lo
-    except ValueError:
-        raise ValueError(f"--n takes N or A..B, got {text!r}") from None
+    lo = _natural(lo_s)
+    hi = _natural(hi_s) if dots else lo
+    if lo is None or hi is None:
+        raise ValueError(f"--n takes N or A..B, got {text!r}")
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -214,12 +214,16 @@ def _cmd_check(args) -> int:
 # --- parser -------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than low (argparse exits 2 otherwise)."""
+def _integer(low: Optional[int] = None):
+    """argparse type: ASCII digits after an optional '-', no smaller than low
+    when low is given (argparse exits 2 otherwise)."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        magnitude = _natural(text.removeprefix("-"))
+        if magnitude is None:
+            raise ValueError(text)
+        value = -magnitude if text.startswith("-") else magnitude
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -250,33 +254,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     p.add_argument("--verify-formula", action="store_true")
     p.add_argument(
-        "--budget", type=_int_at_least(0), default=None, help="node budget per worker"
+        "--budget", type=_integer(0), default=None, help="node budget per worker"
     )
-    p.add_argument("--jobs", type=_int_at_least(1), default=1)
+    p.add_argument("--jobs", type=_integer(1), default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exo)
 
     p = subs.add_parser("construct", help="named construction as .og text")
     p.add_argument("name", choices=_CONSTRUCTIONS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--d", type=int)
+    p.add_argument("--n", type=_integer(), required=True)
+    p.add_argument("--r", type=_integer())
+    p.add_argument("--p", type=_integer())
+    p.add_argument("--q", type=_integer())
+    p.add_argument("--d", type=_integer())
     p.add_argument("--pattern", help="orient a turan construction against this pattern")
     p.set_defaults(func=_cmd_construct)
 
     p = subs.add_parser("embed", help="extract, regularize, and zoom")
     p.add_argument("--host", required=True, help="host .og file")
     _add_pattern_args(p)
-    p.add_argument("--r", type=int, required=True, help="pattern out-degree bound")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--t-override", type=_int_at_least(1), default=None, dest="t_override")
+    p.add_argument("--r", type=_integer(), required=True, help="pattern out-degree bound")
+    p.add_argument("--seed", type=_integer(), required=True)
+    p.add_argument("--t-override", type=_integer(1), default=None, dest="t_override")
     p.set_defaults(func=_cmd_embed)
 
     p = subs.add_parser("check-hypothesis", help="universal containment sweeps")
     p.add_argument("mode", choices=["all-tournaments", "all-orientations"])
-    p.add_argument("--k", type=int, help="tournament order (all-tournaments)")
+    p.add_argument("--k", type=_integer(), help="tournament order (all-tournaments)")
     p.add_argument("--host", help="undirected host .og file (all-orientations)")
     _add_pattern_args(p)
     p.add_argument("--json", action="store_true")

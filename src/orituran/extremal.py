@@ -48,6 +48,7 @@ from .graphs import (
     TooLargeError,
     _check_vertex_count,
     _in_masks,
+    _natural,
 )
 from .homomorphism import EmptyPatternError, SearchPlan, compressibility
 
@@ -86,12 +87,6 @@ _FIXED = {
     "p3plusarc": (5, [(0, 1), (2, 1), (3, 4)]),  # a->b, c->b and an independent arc d->e
     "thm32": (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),  # diamond x->y1, x->y2, y1->z, y2->z
 }
-
-
-def _is_digits(text: str) -> bool:
-    """Only ASCII digits: int() would also take signs, spaces, underscores and
-    other scripts' digits."""
-    return text.isascii() and text.isdigit()
 
 
 class PatternSpec(NamedTuple):
@@ -133,9 +128,9 @@ class PatternSpec(NamedTuple):
             parts = t[5:].split(",")
             if len(parts) != 2:
                 raise BadParamsError(f"star token must look like star:p,q, got {token!r}")
-            if not all(_is_digits(part) for part in parts):
+            p, q = params = [_natural(part) for part in parts]
+            if None in params:
                 raise BadParamsError(f"bad star parameters in {token!r}")
-            p, q = int(parts[0]), int(parts[1])
             if p + q < 1:
                 raise BadParamsError("star needs p, q >= 0 with p + q >= 1")
             _check_vertex_count(p + q + 1)
@@ -143,13 +138,13 @@ class PatternSpec(NamedTuple):
             arcs = [(i, 0) for i in range(1, p + 1)] + [(0, p + j) for j in range(1, q + 1)]
             return PatternSpec("star", (p, q), OrientedGraph.from_arcs(p + q + 1, arcs))
         for prefix, (kind, least, message, vertices, arcs) in _FAMILIES.items():
-            rest = t[len(prefix):]
-            if t.startswith(prefix) and _is_digits(rest):
-                k = int(rest)
-                if k < least:
-                    raise BadParamsError(message)
-                _check_vertex_count(vertices(k))
-                return PatternSpec(kind, (k,), OrientedGraph.from_arcs(vertices(k), arcs(k)))
+            k = _natural(t[len(prefix):]) if t.startswith(prefix) else None
+            if k is None:
+                continue
+            if k < least:
+                raise BadParamsError(message)
+            _check_vertex_count(vertices(k))
+            return PatternSpec(kind, (k,), OrientedGraph.from_arcs(vertices(k), arcs(k)))
         raise BadParamsError(f"unknown pattern token {token!r}")
 
 
@@ -777,10 +772,11 @@ def verify_against_formula(
     an error.  The oracle value is always checked against the arc count of the
     matching verified-free construction; falling below it is an internal error.
     """
+    # every closed form first, so that a pattern without one fails before any search
+    formulas = {n: formula_value(spec, n) for n in sorted(set(ns))}
     rows = []
-    for n in sorted(set(ns)):
+    for n, (value, validity) in formulas.items():
         record = oracle_exo(n, spec, budget=budget, jobs=jobs)
-        value, validity = formula_value(spec, n)
         seed = _construction_seed(spec, n)
         if seed is not None and record.value < seed.arc_count:
             raise InvariantError(

@@ -8,6 +8,7 @@ Text format (.og):
     line 1: n
     one line "u v" per arc u->v, 0-indexed
     '#' starts a comment line, blank lines are ignored
+Every number is written in ASCII digits (_natural reads them all).
 encode() emits arcs sorted by (u, v) with a trailing newline, so equal graphs
 encode byte-identically.  An undirected host (for orientation sweeps) uses the
 same format with a literal "undirected" line before n.
@@ -15,6 +16,7 @@ same format with a literal "undirected" line before n.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -81,6 +83,19 @@ class BudgetExceededError(Exception):
 
 class RegularizeError(Exception):
     """Base for pipeline-stage failures."""
+
+
+def _natural(text: str) -> Optional[int]:
+    """The value of a non-empty string of ASCII digits, None for any other text
+    (int() would also take signs, spaces, underscores and other scripts' digits).
+    A number past int()'s digit limit exceeds every cap: TooLargeError."""
+    if not (text.isascii() and text.isdigit()):
+        return None
+    significant = text.lstrip("0")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # none before 3.10.7
+    if 0 < limit < len(significant):
+        raise TooLargeError(f"a number of {len(significant)} digits exceeds every size cap")
+    return int(significant or "0")
 
 
 def _check_vertex_count(n: int) -> None:
@@ -204,7 +219,7 @@ class OrientedGraph:
 
 
 class DegreeProfile(NamedTuple):
-    """Per-vertex in/out degrees plus the aggregate stats used by the pipeline."""
+    """Per-vertex in/out degrees plus aggregate stats, for callers of the library."""
 
     in_degrees: tuple[int, ...]
     out_degrees: tuple[int, ...]
@@ -372,22 +387,26 @@ def _parse_arc_lines(lines: Iterator[tuple[int, str]], n: int) -> list[tuple[int
         parts = content.split()
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {content!r}", lineno)
-        try:
-            u = int(parts[0])
-        except ValueError:
-            raise ParseError(f"non-integer endpoint {parts[0]!r}", lineno) from None
-        try:
-            v = int(parts[1])
-        except ValueError:
-            raise ParseError(
-                f"non-integer endpoint {parts[1]!r}", lineno, column=len(parts[0]) + 2
-            ) from None
-        if not (0 <= u < n):
-            raise ParseError(f"vertex {u} out of range [0,{n})", lineno)
-        if not (0 <= v < n):
-            raise ParseError(f"vertex {v} out of range [0,{n})", lineno, column=len(parts[0]) + 2)
-        arcs.append((u, v))
+        columns = (1, len(parts[0]) + 2)
+        arc = []
+        for part, column in zip(parts, columns):
+            end = _natural(part)
+            if end is None:
+                raise ParseError(f"non-integer endpoint {part!r}", lineno, column)
+            arc.append(end)
+        for end, column in zip(arc, columns):
+            if end >= n:
+                raise ParseError(f"vertex {end} out of range [0,{n})", lineno, column)
+        arcs.append(tuple(arc))
     return arcs
+
+
+def _vertex_count(lineno: int, line: str) -> int:
+    n = _natural(line)
+    if n is None:
+        raise ParseError(f"expected vertex count, got {line!r}", lineno)
+    _check_vertex_count(n)
+    return n
 
 
 def decode(text: str) -> OrientedGraph:
@@ -398,11 +417,7 @@ def decode(text: str) -> OrientedGraph:
         lineno, first = next(lines)
     except StopIteration:
         raise ParseError("empty input, expected vertex count", 1) from None
-    try:
-        n = int(first)
-    except ValueError:
-        raise ParseError(f"expected vertex count, got {first!r}", lineno) from None
-    _check_vertex_count(n)
+    n = _vertex_count(lineno, first)
     return OrientedGraph.from_arcs(n, _parse_arc_lines(lines, n))
 
 
@@ -426,11 +441,7 @@ def decode_undirected(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
         lineno, nline = next(lines)
     except StopIteration:
         raise ParseError("missing vertex count after 'undirected'", lineno + 1) from None
-    try:
-        n = int(nline)
-    except ValueError:
-        raise ParseError(f"expected vertex count, got {nline!r}", lineno) from None
-    _check_vertex_count(n)
+    n = _vertex_count(lineno, nline)
     edges = set()
     for u, v in _parse_arc_lines(lines, n):
         if u == v:

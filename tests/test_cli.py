@@ -196,6 +196,13 @@ def test_exo_range_checks_its_ends_before_the_oracle(capsys, monkeypatch, extra)
     assert code == 2 and "n >= 1" in err
 
 
+# numerals that int() reads but the program does not: a sign, an underscore
+# and an Arabic-Indic digit
+MALFORMED_NUMERALS = ("+3", "3_0", "\u0663")
+# more digits than int() reads
+OVER_LONG = "9" * 5000
+
+
 def _malformed_argvs(d):
     """Malformed values for every subcommand: bad or out-of-range integers,
     bad tokens, and missing, empty, binary or malformed .og files."""
@@ -204,13 +211,21 @@ def _malformed_argvs(d):
         "loop.og": "3\n1 1\n", "anti.og": "3\n0 1\n1 0\n", "neg.og": "-1\n",
         "huge.og": "99999999999999999999\n", "zero.og": "0\n", "undirected.og": "undirected\n3\n0 1\n",
     }
+    for i, x in enumerate((*MALFORMED_NUMERALS, OVER_LONG)):
+        files[f"count{i}.og"] = f"{x}\n0 1\n"
+        files[f"arc{i}.og"] = f"3\n0 {x}\n"
+        files[f"ucount{i}.og"] = f"undirected\n{x}\n0 1\n"
+        files[f"uarc{i}.og"] = f"undirected\n3\n{x} 1\n"
     for name, text in files.items():
-        (d / name).write_text(text)
+        (d / name).write_text(text, encoding="utf-8")
     (d / "binary.og").write_bytes(b"\xff\xfe\x00\n")
     paths = [str(d / name) for name in [*files, "binary.og", "missing.og"]] + [str(d)]
-    ints = ["x", "", "-1", "0", "2.5", "1e3", "99999999999999999999"]
+    ints = ["x", "", "-1", "0", "2.5", "1e3", "99999999999999999999", *MALFORMED_NUMERALS,
+            OVER_LONG]
     tokens = ["", "zzz", "star:", "star:a,b", "star:-1,2", "star:0,0", "dpath1", "dcycle2",
               "matching0", "ttour99", "c1", "dpath" + "9" * 30]
+    tokens += [token for x in (*MALFORMED_NUMERALS, OVER_LONG)
+               for token in (x, f"dpath{x}", f"star:{x},1")]
     ok = str(d / "p4.og")
     for path in paths:
         yield ["compress", path, "--json"]
@@ -247,6 +262,84 @@ def test_malformed_values_end_in_a_documented_exit_code(og_dir, capsys):
         code, _, err = _run(capsys, argv)
         assert code in range(5), argv
         assert "Traceback" not in err, argv
+
+
+def _og_file(d, text):
+    path = d / "numeral.og"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# each place a numeral is read from a file, a token or --n: the argv that puts
+# numeral x there (files go in directory d) and the message a malformed x gets
+READ_POSITIONS = {
+    ".og count": (lambda d, x: ["compress", _og_file(d, f"{x}\n0 1\n")],
+                  lambda x: f"line 1, col 1: expected vertex count, got {x!r}"),
+    ".og endpoint": (lambda d, x: ["compress", _og_file(d, f"3\n0 {x}\n")],
+                     lambda x: f"line 2, col 3: non-integer endpoint {x!r}"),
+    "undirected count": (
+        lambda d, x: ["check-hypothesis", "all-orientations", "--pattern", "dpath3",
+                      "--host", _og_file(d, f"undirected\n{x}\n0 1\n")],
+        lambda x: f"line 2, col 1: expected vertex count, got {x!r}"),
+    "undirected endpoint": (
+        lambda d, x: ["check-hypothesis", "all-orientations", "--pattern", "dpath3",
+                      "--host", _og_file(d, f"undirected\n3\n{x} 1\n")],
+        lambda x: f"line 3, col 1: non-integer endpoint {x!r}"),
+    "dpathK": (lambda d, x: ["exo", "--n", "3", "--pattern", f"dpath{x}"],
+               lambda x: f"unknown pattern token {'dpath' + x!r}"),
+    "star p": (lambda d, x: ["exo", "--n", "3", "--pattern", f"star:{x},1"],
+               lambda x: f"bad star parameters in {f'star:{x},1'!r}"),
+    "star q": (lambda d, x: ["exo", "--n", "3", "--pattern", f"star:1,{x}"],
+               lambda x: f"bad star parameters in {f'star:1,{x}'!r}"),
+    "--n A": (lambda d, x: ["exo", "--pattern", "dpath3", "--n", x],
+              lambda x: f"--n takes N or A..B, got {x!r}"),
+    "--n B": (lambda d, x: ["exo", "--pattern", "dpath3", "--n", f"3..{x}"],
+              lambda x: f"--n takes N or A..B, got {f'3..{x}'!r}"),
+}
+
+
+def _option(argv):
+    """The position of the integer option last in argv, an argv valid without it."""
+    return (lambda d, x: [*argv, x],
+            lambda x: f"argument {argv[-1]}: invalid int value: {x!r}")
+
+
+EMBED = ["embed", "--host", "h.og", "--pattern", "dpath2"]
+OPTION_POSITIONS = {f"{argv[0]} {argv[-1]}": _option(argv) for argv in [
+    ["exo", "--n", "3", "--pattern", "dpath3", "--budget"],
+    ["exo", "--n", "3", "--pattern", "dpath3", "--jobs"],
+    ["construct", "turan", "--n"],
+    *(["construct", "turan", "--n", "6", option] for option in ("--r", "--p", "--q", "--d")),
+    [*EMBED, "--seed", "1", "--r"],
+    [*EMBED, "--r", "1", "--seed"],
+    [*EMBED, "--r", "1", "--seed", "1", "--t-override"],
+    ["check-hypothesis", "all-tournaments", "--pattern", "dpath3", "--k"],
+]}
+
+
+def _numeral_cases():
+    ids = {"+3": "plus", "3_0": "underscore", "\u0663": "arabic-indic", " 3": "space",
+           OVER_LONG: "5000-digits"}
+    for position in [*READ_POSITIONS, *OPTION_POSITIONS]:
+        # files and tokens strip spaces; --n and the options do not
+        spaced = (" 3",) if position.startswith("--n") or position in OPTION_POSITIONS else ()
+        for x in (*MALFORMED_NUMERALS, *spaced, OVER_LONG):
+            yield pytest.param(position, x, id=f"{position}-{ids[x]}")
+
+
+@pytest.mark.parametrize("position, numeral", _numeral_cases())
+def test_each_numeral_position_has_one_exit_code(tmp_path, capsys, position, numeral):
+    # a malformed numeral exits 2 with its position's message; one too long for
+    # int() exceeds every cap (3), except as an option, where argparse refuses
+    # it as a usage error (2)
+    argv_of, message_of = {**READ_POSITIONS, **OPTION_POSITIONS}[position]
+    code, out, err = _run(capsys, argv_of(tmp_path, numeral))
+    if numeral == OVER_LONG and position in READ_POSITIONS:
+        assert code == 3 and err == "error: a number of 5000 digits exceeds every size cap\n"
+    else:
+        assert code == 2 and err.endswith(f"error: {message_of(numeral)}\n")
+    assert out == ""
+    assert "Traceback" not in err and "Exceeds the limit" not in err
 
 
 HANDLER_ARGVS = (

@@ -837,6 +837,20 @@ def test_verify_report_records_small_n_shortfall():
     assert report.first_match_n == 4
 
 
+@pytest.mark.parametrize("token, exc, message", [
+    ("adpath5", NoFormulaError, "closed form known only for the 4-vertex antidirected path"),
+    ("ttour4", TooLargeError, "compressibility exceeds the k <= 7 tournament enumeration cap"),
+])
+def test_verify_fails_before_it_searches(monkeypatch, token, exc, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(extremal, "oracle_exo", refuse)
+    with pytest.raises(exc) as info:
+        verify_against_formula(PatternSpec.parse(token), range(4, 8))
+    assert type(info.value) is exc and str(info.value) == message
+
+
 def test_verify_report_text_table():
     report = verify_against_formula(PatternSpec.parse("adpath4"), [4, 5])
     text = report.to_text()

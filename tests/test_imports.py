@@ -1,6 +1,7 @@
 """Every name a module under src/orituran imports is referenced in it,
-every private helper it defines is referenced somewhere in the package, and
-a cold CLI start loads only the modules its subcommand runs."""
+every private helper it defines is referenced somewhere in the package, text
+becomes an int in one reader only, and a cold CLI start loads only the
+modules its subcommand runs."""
 
 import ast
 import os
@@ -92,6 +93,35 @@ def test_no_dead_private_helpers():
     used = set().union(*map(_uses, trees))
     dead = {name for tree in trees for name in _private_definitions(tree)} - used
     assert sorted(dead) == []
+
+
+def _int_calls(node: ast.AST, owner: str = ""):
+    """(innermost enclosing function, source) of each one-argument int() call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _int_calls(child, child.name)
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "int" and len(child.args) + len(child.keywords) == 1):
+            yield owner, ast.unparse(child)
+        yield from _int_calls(child, owner)
+
+
+def test_text_becomes_an_int_only_in_the_numeral_reader():
+    # a second, lenient reader would take signs, spaces, underscores and other
+    # scripts' digits again; int(self.injective) turns a bool, not text, into 0 or 1
+    stray = [f"{path.stem}.{owner}: {call}" for path in sorted(SRC.glob("*.py"))
+             for owner, call in _int_calls(ast.parse(path.read_text(), filename=str(path)))
+             if (path.stem, owner) != ("graphs", "_natural")
+             and (path.stem, call) != ("homomorphism", "int(self.injective)")]
+    assert stray == []
+
+
+def test_cli_options_read_integers_through_the_numeral_reader():
+    typed_int = [node.lineno for node in ast.walk(_module_tree("cli"))
+                 if isinstance(node, ast.keyword) and node.arg == "type"
+                 and isinstance(node.value, ast.Name) and node.value.id == "int"]
+    assert typed_int == []
 
 
 def _imported_modules(tree: ast.Module, eager: bool = False):
