@@ -59,7 +59,9 @@ at n = 5.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks, _natural
@@ -350,7 +352,8 @@ class ExtensionSets(NamedTuple):
     lanes[b] holds the extensions whose int has bit b.  prefix[t], for
     t = 0..k+1, counts the extensions with at least t arcs; they are the
     first ones listed.  greater[u, w], for u < w, holds the extensions whose
-    state at u exceeds their state at w.
+    state at u exceeds their state at w.  _extension_sets(k) builds each
+    field from these definitions, once per k.
     """
 
     exts: tuple[int, ...]
@@ -359,49 +362,25 @@ class ExtensionSets(NamedTuple):
     greater: dict[tuple[int, int], int]
 
 
-_EXTENSION_SETS: dict[int, ExtensionSets] = {}
-
-
+@functools.cache
 def _extension_sets(k: int) -> ExtensionSets:
-    if k not in _EXTENSION_SETS:
-        # groups[z]: (exts, twos, ones) over the state tuples of length j
-        # with z zeros in ascending order: their extension ints, and in
-        # twos[u] and ones[u] the tuples with state 2 and 1 at u.  In that
-        # order such a tuple is a 0 and a tuple with z - 1 zeros, then a 1
-        # and one with z zeros, then a 2 and one with z zeros.
-        groups = [([0], (), ())]
-        for j in range(1, k + 1):
-            # the state put first at step j is that of old vertex k - j;
-            # state 1 (u -> x) sets bit u + k, state 2 (x -> u) bit u
-            bit = 1 << k - j
-            none = ([], (0,) * (j - 1), (0,) * (j - 1))
-            grown = []
-            for z in range(j + 1):
-                ea, a2, a1 = groups[z - 1] if z else none
-                eb, b2, b1 = groups[z] if z < j else none
-                la, lb = len(ea), len(eb)
-                run = (1 << lb) - 1
-                twos = (run << la + lb, *(a | b << la | b << la + lb for a, b in zip(a2, b2)))
-                ones = (run << la, *(a | b << la | b << la + lb for a, b in zip(a1, b1)))
-                exts = ea + [e | bit << k for e in eb] + [e | bit for e in eb]
-                grown.append((exts, twos, ones))
-            groups = grown
-        # the list holds the groups by number of zeros
-        exts, twos, ones = [], [0] * k, [0] * k
-        prefix = [0] * (k + 2)
-        for z, (g, g2, g1) in enumerate(groups):
-            for u in range(k):
-                twos[u] |= g2[u] << len(exts)
-                ones[u] |= g1[u] << len(exts)
-            exts += g
-            prefix[k - z] = len(exts)
-        greater = {
-            (u, w): twos[u] & ~twos[w] | ones[u] & ~(ones[w] | twos[w])
-            for u in range(k)
-            for w in range(u + 1, k)
-        }
-        _EXTENSION_SETS[k] = ExtensionSets(tuple(exts), tuple(twos + ones), tuple(prefix), greater)
-    return _EXTENSION_SETS[k]
+    # old vertex u chooses no arc, u -> x (state 1, bit u + k) or x -> u (state
+    # 2, bit u); a stable sort keeps the product's tuple order per arc count
+    exts = sorted(map(sum, itertools.product(*((0, 1 << u + k, 1 << u) for u in range(k)))),
+                  key=int.bit_count, reverse=True)
+    # the extensions' bit rows, last extension first and bit 0 first in each
+    # (the sentinel bit keeps every row 2k digits long); lanes[b] is column b
+    bits = "".join([bin(x | 1 << 2 * k)[:2:-1] for x in reversed(exts)])
+    lanes = tuple(int(bits[b::2 * k], 2) for b in range(2 * k))
+    # C(k, a) * 2^a extensions have a arcs
+    prefix = tuple(sum(math.comb(k, a) << a for a in range(t, k + 1)) for t in range(k + 2))
+    twos, ones = lanes[:k], lanes[k:]
+    greater = {
+        (u, w): twos[u] & ~twos[w] | ones[u] & ~(ones[w] | twos[w])
+        for u in range(k)
+        for w in range(u + 1, k)
+    }
+    return ExtensionSets(tuple(exts), lanes, prefix, greater)
 
 
 def _twin_images(masks: Sequence[int], ins: Sequence[int],
@@ -511,7 +490,12 @@ def enumerate_oriented_graphs(n: int) -> Iterator[OrientedGraph]:
     yield from (OrientedGraph(n, masks) for masks in level)
 
 
-_TOURNAMENT_CACHE: dict[int, list[OrientedGraph]] = {}
+@functools.cache
+def _tournaments(k: int) -> tuple[OrientedGraph, ...]:
+    if k == 1:
+        return (OrientedGraph(1, (0,)),)
+    level = _grow((g.out for g in _tournaments(k - 1)), k - 1, True)
+    return tuple(OrientedGraph(k, masks) for masks in level)
 
 
 def enumerate_tournaments(k: int) -> list[OrientedGraph]:
@@ -521,11 +505,4 @@ def enumerate_tournaments(k: int) -> list[OrientedGraph]:
         raise InvariantError("tournament enumeration needs k >= 1")
     if k > MAX_ENUM_VERTICES:
         raise TooLargeError(f"tournament enumeration capped at {MAX_ENUM_VERTICES}, got {k}")
-    if k not in _TOURNAMENT_CACHE:
-        _TOURNAMENT_CACHE.setdefault(1, [OrientedGraph(1, (0,))])
-        start = max(m for m in _TOURNAMENT_CACHE if m <= k)
-        level = [g.out for g in _TOURNAMENT_CACHE[start]]
-        for m in range(start, k):
-            level = _grow(level, m, True)
-            _TOURNAMENT_CACHE[m + 1] = [OrientedGraph(m + 1, masks) for masks in level]
-    return list(_TOURNAMENT_CACHE[k])
+    return list(_tournaments(k))

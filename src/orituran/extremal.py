@@ -637,6 +637,8 @@ def check_order(n: int, budget: Optional[int]) -> None:
         raise BadParamsError("oracle needs n >= 1")
     if n > MAX_CODE_VERTICES:
         raise TooLargeError(f"oracle capped at {MAX_CODE_VERTICES} vertices, got {n}")
+    if budget is not None and budget < 0:
+        raise BadParamsError(f"node budget must be >= 0, got {budget}")
     if n > MAX_EXACT_VERTICES and budget is None:
         raise TooLargeError(
             f"n = {n} exceeds the exhaustive cap {MAX_EXACT_VERTICES}; pass a node budget "

@@ -454,6 +454,8 @@ def _random_zoom_stats(
     pattern: BipartiteDigraph,
     cfg: ZoomConfig,
 ) -> tuple[VertexMap, dict]:
+    if cfg.r < 1 or cfg.h < 1:
+        raise BadParamsError("zoom needs r >= 1 and h >= 1")
     if cfg.h != pattern.n:
         raise InfeasibleConfig(
             f"config h = {cfg.h} but the pattern has {pattern.n} vertices"

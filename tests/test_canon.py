@@ -7,8 +7,13 @@ n!/|Aut| = number of labelled objects.
 
 import hashlib
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -421,6 +426,33 @@ def test_tournament_counts():
         assert len(enumerate_tournaments(k)) == count
 
 
+_TOURNAMENT_ORDERS = """
+import json, sys
+from orituran.canon import enumerate_tournaments
+lists = {k: enumerate_tournaments(k) for k in map(int, sys.argv[1:])}
+again = enumerate_tournaments(3)
+assert again is not lists[3] and again == lists[3]
+again.clear()  # the cache hands out copies
+assert enumerate_tournaments(3) == lists[3]
+print(json.dumps({k: [g.out for g in lists[k]] for k in (3, 7)}))
+"""
+
+
+def test_tournament_lists_do_not_depend_on_the_order_asked():
+    # each order in a fresh interpreter, so the first call starts from an empty cache
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    lists = []
+    for order in (["3", "7"], ["7", "3"]):
+        run = subprocess.run([sys.executable, "-c", _TOURNAMENT_ORDERS, *order],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        lists.append(json.loads(run.stdout))
+    assert lists[0] == lists[1]
+    assert [len(lists[0][k]) for k in ("3", "7")] == [2, 456]
+
+
 def _codes_sha256(graphs, order=lambda codes: codes):
     text = "\n".join(order([canonical_code(g).serialize() for g in graphs]))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -505,7 +537,8 @@ def _reference_extensions(k):
 
 
 def test_extension_sets_match_the_extension_list():
-    for k in range(9):
+    # up to k = 9, the table an order-10 oracle run builds
+    for k in range(10):
         xs = _reference_extensions(k)
         sets = _extension_sets(k)
         assert sets.exts == tuple(xs)

@@ -732,6 +732,15 @@ def test_oracle_validates_inputs():
         oracle_exo(8, spec)  # beyond the exhaustive cap, budget required
 
 
+@pytest.mark.parametrize("n", [5, 8])
+def test_oracle_rejects_a_negative_budget(n):
+    spec = PatternSpec.parse("dpath3")
+    with pytest.raises(BadParamsError, match="node budget must be >= 0, got -1"):
+        oracle_exo(n, spec, budget=-1)
+    with pytest.raises(BadParamsError, match="node budget must be >= 0, got -1"):
+        verify_against_formula(spec, [n], budget=-1)
+
+
 def test_oracle_budget_exhaustion_certifies_lower_bound():
     spec = PatternSpec.parse("dpath4")
     with pytest.raises(BudgetExceededError) as exc:

@@ -605,6 +605,15 @@ def test_zoom_rejects_infeasible_configs():
         random_zoom(host, pattern3, good)  # h mismatch
 
 
+def test_zoom_rejects_a_config_below_r_or_h_one():
+    # a config built directly skips for_instance's check; r = 0 once divided by zero
+    host = _complete_bipartite(2, 2)
+    one = BipartiteDigraph((0,), (), (0,))
+    for cfg in [ZoomConfig(r=0, h=1, d=50, seed=1), ZoomConfig(r=1, h=0, d=50, seed=1)]:
+        with pytest.raises(BadParamsError, match="zoom needs r >= 1 and h >= 1"):
+            random_zoom(host, one, cfg)
+
+
 def test_zoom_bytes_are_pinned():
     # seeded mappings plus each accepted trial's sample sizes, sha256 of canonical JSON
     runs = []
