@@ -299,43 +299,6 @@ def canonical_code(g: OrientedGraph) -> CanonicalCode:
     return CanonicalCode(g.n, "".join(str(d) for d in digits))
 
 
-def is_canonical(g: OrientedGraph) -> bool:
-    """True iff g's own labelling already attains its canonical code."""
-    if g.n > MAX_CODE_VERTICES:
-        raise TooLargeError(f"canonical code capped at {MAX_CODE_VERTICES} vertices, got {g.n}")
-    best = _identity_digits(g.out, g.n)
-    return not _search(g.out, g.in_masks, g.n, best, None, stop_early=True)
-
-
-def is_isomorphic(a: OrientedGraph, b: OrientedGraph) -> bool:
-    if a.n != b.n:
-        return False
-    if a.arc_count != b.arc_count:
-        return False
-    da = sorted((m.bit_count(), i.bit_count()) for m, i in zip(a.out, a.in_masks))
-    db = sorted((m.bit_count(), i.bit_count()) for m, i in zip(b.out, b.in_masks))
-    if da != db:
-        return False
-    return canonical_code(a) == canonical_code(b)
-
-
-def automorphism_order(g: OrientedGraph) -> int:
-    """|Aut(g)| by brute force; intended for the small cross-check sizes."""
-    if g.n > 8:
-        raise TooLargeError("automorphism order is brute force, capped at 8 vertices")
-    n, out = g.n, g.out
-    count = 0
-    for perm in itertools.permutations(range(n)):
-        if all(
-            ((out[perm[u]] >> perm[v]) & 1) == ((out[u] >> v) & 1)
-            for u in range(n)
-            for v in range(n)
-            if u != v
-        ):
-            count += 1
-    return count
-
-
 # --- isomorph-free generation -------------------------------------------------
 
 class ExtensionSets(NamedTuple):

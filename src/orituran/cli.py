@@ -31,8 +31,8 @@ from .graphs import (
     encode,
 )
 
-# extremal.CONSTRUCTIONS, spelt out so that building the parser loads no search
-# module; a test keeps the two equal
+# the names extremal.build_construction accepts, spelt out so that building the
+# parser loads no search module; a test checks each against build_construction
 _CONSTRUCTIONS = ("turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27")
 
 EXIT_OK = 0

@@ -10,23 +10,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .canon import enumerate_tournaments
-from .graphs import InvariantError, OrientedGraph, TooLargeError, VertexMap
+from .graphs import InvariantError, LoopArcError, OrientedGraph, TooLargeError, VertexMap
 from .homomorphism import SearchPlan, find_map
 
 MAX_ORIENTATION_EDGES = 24
-
-
-def is_copy_witness(host: OrientedGraph, pattern: OrientedGraph, vm: VertexMap) -> bool:
-    """Independent check that vm is a total injective arc-preserving map."""
-    if vm.source_n != pattern.n or vm.target_n != host.n or not vm.is_total:
-        return False
-    m = vm.as_dict()
-    images = set(m.values())
-    if len(images) != pattern.n:
-        return False
-    if any(not (0 <= t < host.n) for t in images):
-        return False
-    return all(host.has_arc(m[u], m[v]) for u, v in pattern.arcs())
 
 
 def contains_copy(host: OrientedGraph, pattern: OrientedGraph) -> Optional[VertexMap]:
@@ -46,10 +33,10 @@ def contains_copy_through(
     through the new vertex can appear.  The oracle decides that from its
     forbidden pairs; this plain search is the cross-check.
     """
+    if not 0 <= through < host.n:
+        raise InvariantError(f"vertex {through} out of range")
     if pattern.n > host.n or pattern.arc_count > host.arc_count:
         return None
-    if not 0 <= through < host.n:
-        raise ValueError(f"vertex {through} out of range")
     plan = SearchPlan(pattern, injective=True)
     found = plan.search(host.out, host.in_masks, lambda img, _key: through in img)
     return None if found is None else VertexMap.of(pattern.n, host.n, dict(zip(plan.order, found)))
@@ -85,9 +72,9 @@ def all_orientations_contain(
     """
     edges = [tuple(e) for e in edges]
     if len(set(frozenset(e) for e in edges)) != len(edges):
-        raise ValueError("duplicate undirected edges")
+        raise InvariantError("duplicate undirected edges")
     if any(u == v for u, v in edges):
-        raise ValueError("loops cannot be oriented")
+        raise LoopArcError("loops cannot be oriented")
     if not all(0 <= u < n and 0 <= v < n for u, v in edges):
         raise InvariantError(f"an edge endpoint lies outside 0..{n - 1}")
     m = len(edges)

@@ -226,9 +226,6 @@ def _cycle_power_arcs(vertices: Sequence[int], width: int) -> list[tuple[int, in
     ]
 
 
-CONSTRUCTIONS = ("turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27")
-
-
 def build_construction(
     name: str,
     n: int,
@@ -728,13 +725,6 @@ class VerifyRow(NamedTuple):
 class VerifyReport(NamedTuple):
     pattern: PatternSpec
     rows: tuple[VerifyRow, ...]
-
-    @property
-    def first_match_n(self) -> Optional[int]:
-        for row in self.rows:
-            if row.status == "MATCH":
-                return row.n
-        return None
 
     def to_json_obj(self) -> dict:
         return {

@@ -207,6 +207,8 @@ class OrientedGraph:
         index = {v: i for i, v in enumerate(vertices)}
         if len(index) != len(vertices):
             raise InvariantError("induced vertex list has duplicates")
+        if not all(0 <= v < self.n for v in index):
+            raise InvariantError(f"an induced vertex lies outside 0..{self.n - 1}")
         out = [0] * len(vertices)
         for i, v in enumerate(vertices):
             m = self.out[v]
@@ -216,42 +218,6 @@ class OrientedGraph:
                     out[i] |= 1 << index[w]
                 m &= m - 1
         return OrientedGraph(len(vertices), tuple(out))
-
-
-class DegreeProfile(NamedTuple):
-    """Per-vertex in/out degrees plus aggregate stats, for callers of the library."""
-
-    in_degrees: tuple[int, ...]
-    out_degrees: tuple[int, ...]
-
-    @property
-    def totals(self) -> tuple[int, ...]:
-        return tuple(a + b for a, b in zip(self.in_degrees, self.out_degrees))
-
-    @property
-    def max_degree(self) -> int:
-        return max(self.totals, default=0)
-
-    @property
-    def min_degree(self) -> int:
-        return min(self.totals, default=0)
-
-    @property
-    def arc_count(self) -> int:
-        return sum(self.out_degrees)
-
-    @property
-    def average_degree(self) -> float:
-        # d(D) = 2|E| / n; 0.0 on the empty vertex set
-        n = len(self.in_degrees)
-        return (2 * self.arc_count / n) if n else 0.0
-
-
-def degree_profile(g: OrientedGraph) -> DegreeProfile:
-    return DegreeProfile(
-        in_degrees=tuple(m.bit_count() for m in g.in_masks),
-        out_degrees=tuple(m.bit_count() for m in g.out),
-    )
 
 
 class VertexMap(NamedTuple):
@@ -267,10 +233,6 @@ class VertexMap(NamedTuple):
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.mapping)
-
-    @property
-    def is_total(self) -> bool:
-        return len(self.mapping) == self.source_n
 
 
 class BipartiteDigraph:
@@ -419,13 +381,6 @@ def decode(text: str) -> OrientedGraph:
         raise ParseError("empty input, expected vertex count", 1) from None
     n = _vertex_count(lineno, first)
     return OrientedGraph.from_arcs(n, _parse_arc_lines(lines, n))
-
-
-def encode_undirected(n: int, edges: Iterable[tuple[int, int]]) -> str:
-    ordered = sorted({(min(u, v), max(u, v)) for u, v in edges})
-    lines = ["undirected", str(n)]
-    lines.extend(f"{u} {v}" for u, v in ordered)
-    return "\n".join(lines) + "\n"
 
 
 def decode_undirected(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:

@@ -25,16 +25,6 @@ class EmptyPatternError(GraphError):
     """Pattern has no arcs; the question degenerates."""
 
 
-def is_homomorphism(f: OrientedGraph, d: OrientedGraph, vm: VertexMap) -> bool:
-    """Independent check that vm is a total arc-preserving map f -> d."""
-    if vm.source_n != f.n or vm.target_n != d.n or not vm.is_total:
-        return False
-    m = vm.as_dict()
-    if any(not (0 <= t < d.n) for t in m.values()):
-        return False
-    return all(d.has_arc(m[u], m[v]) for u, v in f.arcs())
-
-
 def has_directed_cycle(g: OrientedGraph) -> bool:
     indeg = [g.in_masks[u].bit_count() for u in range(g.n)]
     queue = deque(u for u in range(g.n) if indeg[u] == 0)
@@ -50,11 +40,6 @@ def has_directed_cycle(g: OrientedGraph) -> bool:
                 queue.append(v)
             m &= m - 1
     return seen < g.n
-
-
-def is_antidirected(g: OrientedGraph) -> bool:
-    """Every vertex is a source or a sink."""
-    return all(g.out[u] == 0 or g.in_masks[u] == 0 for u in range(g.n))
 
 
 class SearchPlan:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 import orituran
-from orituran.canon import automorphism_order, enumerate_tournaments
+from orituran.canon import enumerate_tournaments
 from orituran.containment import (
     all_orientations_contain,
     all_tournaments_contain,
@@ -38,6 +38,7 @@ from orituran.regularize import (
     random_zoom,
     verify_bipartite_embedding,
 )
+from checkers import automorphism_order
 
 
 def _report(num, label, t0, budget=None):

@@ -28,16 +28,14 @@ from orituran.canon import (
     _min_digits,
     _twin_images,
     accept_child,
-    automorphism_order,
     canonical_code,
     enumerate_oriented_graphs,
     enumerate_tournaments,
     extend_masks,
-    is_canonical,
-    is_isomorphic,
     masks_from_digits,
 )
 from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
+from checkers import automorphism_order
 
 
 def _all_labelled(n):
@@ -123,7 +121,7 @@ def _circulant(n, steps):
 def test_code_invariant_under_relabelling_of_symmetric_graphs(g):
     rng = random.Random(g.n)
     base = canonical_code(g)
-    assert is_canonical(base.to_graph())
+    assert _is_canonical(base.to_graph())
     for _ in range(25):
         assert canonical_code(_relabel(g, rng)) == base
 
@@ -236,9 +234,9 @@ def test_twin_pruned_search_matches_brute_force_on_twin_rich_graphs():
             continue  # brute force at n = 8 costs about 0.3 s a graph
         want = _matrix_min_code(g)
         assert _min_digits(g.out, g.n) == want, list(g.arcs())
-        assert is_canonical(g) == (bytes(int(c) for c in _digits_of_identity(g)) == want)
+        assert _is_canonical(g) == (bytes(int(c) for c in _digits_of_identity(g)) == want)
         canon = OrientedGraph(g.n, tuple(canonical_code(g).to_graph().out))
-        assert is_canonical(canon)
+        assert _is_canonical(canon)
     for g in graphs:
         if g.n <= 6:
             got = accept_child(g.out, g.n)
@@ -251,7 +249,7 @@ def test_code_invariant_under_random_relabelling_up_to_eight(n, p_arc, seed):
     rng = random.Random(seed)
     g = _random_graph(rng, n, p_arc) if rng.random() < 0.5 else rng.choice(_TWIN_RICH[n])
     code = canonical_code(g)
-    assert is_canonical(code.to_graph())
+    assert _is_canonical(code.to_graph())
     for _ in range(3):
         assert canonical_code(_relabel(g, rng)) == code
 
@@ -274,7 +272,7 @@ def test_is_isomorphic_agrees_with_networkx():
         gx.add_nodes_from(range(n))
         hx = nx.DiGraph(list(h.arcs()))
         hx.add_nodes_from(range(n))
-        assert is_isomorphic(g, h) == nx.is_isomorphic(gx, hx)
+        assert (canonical_code(g) == canonical_code(h)) == nx.is_isomorphic(gx, hx)
 
 
 def test_code_serialize_roundtrip():
@@ -282,7 +280,7 @@ def test_code_serialize_roundtrip():
     code = canonical_code(g)
     parsed = CanonicalCode.parse(code.serialize())
     assert parsed == code
-    assert is_isomorphic(parsed.to_graph(), g)
+    assert canonical_code(parsed.to_graph()) == code
     with pytest.raises(InvariantError):
         CanonicalCode.parse("4")
     with pytest.raises(InvariantError):
@@ -343,10 +341,14 @@ def test_code_cap():
 
 
 def test_is_canonical_consistent():
+    # a labelling attains its canonical code exactly when the code's graph is g itself
     for g in _all_labelled(3):
-        assert is_canonical(g) == (canonical_code(g).digits == "".join(
-            _digits_of_identity(g)
-        ))
+        assert _is_canonical(g) == (canonical_code(g).to_graph() == g)
+
+
+def _is_canonical(g):
+    """Whether g's own labelling already attains its canonical code."""
+    return canonical_code(g).digits == "".join(_digits_of_identity(g))
 
 
 def _digits_of_identity(g):
@@ -370,7 +372,7 @@ def test_class_counts_match_labelled_bucketing(n, count):
 def test_enumeration_yields_canonical_distinct_representatives():
     seen = set()
     for g in enumerate_oriented_graphs(5):
-        assert is_canonical(g)
+        assert _is_canonical(g)
         code = canonical_code(g).digits
         assert code not in seen
         seen.add(code)
@@ -503,16 +505,18 @@ def test_tournament_double_count_identity():
 def test_tournaments_are_tournaments():
     for t in enumerate_tournaments(5):
         assert t.arc_count == 10
-        assert is_canonical(t)
+        assert _is_canonical(t)
 
 
 def test_is_isomorphic_agrees_with_codes():
+    # equal codes exactly when some relabelling of a gives b's digits
     gs = list(_all_labelled(3))
     for a in gs[:30]:
         for b in gs[:30]:
-            assert is_isomorphic(a, b) == (
-                canonical_code(a).digits == canonical_code(b).digits
-            )
+            b_digits = "".join(_digits_of_identity(b))
+            isomorphic = any(_perm_code(a, perm) == b_digits
+                             for perm in itertools.permutations(range(3)))
+            assert isomorphic == (canonical_code(a) == canonical_code(b))
 
 
 def test_automorphism_orders():

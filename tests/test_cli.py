@@ -411,12 +411,14 @@ def test_construct_cap(capsys):
 def test_construct_choices_are_the_named_constructions(capsys):
     subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
     name = next(a for a in subs.choices["construct"]._actions if a.dest == "name")
-    assert tuple(name.choices) == extremal.CONSTRUCTIONS
+    assert tuple(name.choices) == cli._CONSTRUCTIONS
     # the kwargs the construction tests use
     kwargs = {"turan": {"r": 3}, "cyclepower": {"q": 3}, "starpartition": {"p": 1, "q": 2}}
-    for construction in extremal.CONSTRUCTIONS:
+    for construction in cli._CONSTRUCTIONS:
         g = extremal.build_construction(construction, 6, **kwargs.get(construction, {}))
         assert g.n == 6 and g.arc_count > 0, construction
+    with pytest.raises(extremal.BadParamsError, match="unknown construction 'nosuch'"):
+        extremal.build_construction("nosuch", 6)
     code, _, err = _run(capsys, ["construct", "nosuch", "--n", "4"])
     assert code == 2
     assert ("invalid choice: 'nosuch' (choose from 'turan', 'cyclepower', "

@@ -20,12 +20,19 @@ from orituran.containment import (
     all_tournaments_contain,
     contains_copy,
     contains_copy_through,
-    is_copy_witness,
     is_free,
 )
 from orituran.extremal import PatternSpec, _copy_keys, _deletions, _forbidden
-from orituran.graphs import InvariantError, OrientedGraph, TooLargeError, _in_masks
+from orituran.graphs import (
+    GraphError,
+    InvariantError,
+    LoopArcError,
+    OrientedGraph,
+    TooLargeError,
+    _in_masks,
+)
 from orituran.homomorphism import VertexMap
+from checkers import is_copy_witness
 
 
 def orientation_graph(n, edges, bits):
@@ -262,6 +269,26 @@ def test_all_orientations_rejects_bad_edges():
     for edge in ((-1, 0), (0, -1), (3, 0), (0, 3)):
         with pytest.raises(InvariantError):
             all_orientations_contain(3, [edge], OrientedGraph.from_arcs(2, [(0, 1)]))
+
+
+def test_sweep_input_errors_are_graph_errors():
+    # a caller that catches the package's GraphError sees each of them
+    arc = OrientedGraph.from_arcs(2, [(0, 1)])
+    host = OrientedGraph.from_arcs(3, [(0, 1), (1, 2)])
+    cases = [
+        (lambda: all_orientations_contain(3, [(0, 1), (1, 0)], arc), InvariantError,
+         "duplicate undirected edges"),
+        (lambda: all_orientations_contain(3, [(1, 1)], arc), LoopArcError,
+         "loops cannot be oriented"),
+        (lambda: contains_copy_through(host, arc, 3), InvariantError, "vertex 3 out of range"),
+        # checked before a pattern too large for the host returns None
+        (lambda: contains_copy_through(host, OrientedGraph.empty(4), 99), InvariantError,
+         "vertex 99 out of range"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(GraphError, match=message) as exc:
+            call()
+        assert exc.type is error
 
 
 def test_all_orientations_edge_cap():

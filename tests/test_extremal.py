@@ -829,7 +829,7 @@ def test_construction_unknown_name():
 def test_verify_report_all_match():
     report = verify_against_formula(PatternSpec.parse("dpath3"), range(3, 7))
     assert [r.status for r in report.rows] == ["MATCH"] * 4
-    assert report.first_match_n == 3
+    assert next(r.n for r in report.rows if r.status == "MATCH") == 3
     obj = report.to_json_obj()
     assert obj["pattern"] == "dpath3"
     assert [row["n"] for row in obj["rows"]] == [3, 4, 5, 6]
@@ -843,7 +843,7 @@ def test_verify_report_records_small_n_shortfall():
     assert statuses[3] == "ORACLE_LOWER"
     assert statuses[4] == "MATCH"
     assert statuses[5] == "MATCH"
-    assert report.first_match_n == 4
+    assert next(r.n for r in report.rows if r.status == "MATCH") == 4
 
 
 @pytest.mark.parametrize("token, exc, message", [

@@ -17,10 +17,9 @@ from orituran.graphs import (
     TooLargeError,
     decode,
     decode_undirected,
-    degree_profile,
     encode,
-    encode_undirected,
 )
+from checkers import encode_undirected
 
 
 def test_from_arcs_roundtrip():
@@ -78,14 +77,12 @@ def test_induced_relabels_in_given_order():
         g.induced([0, 0])
 
 
-def test_degree_profile_aggregates():
-    g = OrientedGraph.from_arcs(3, [(0, 1), (0, 2)])
-    prof = degree_profile(g)
-    assert prof.totals == (2, 1, 1)
-    assert prof.max_degree == 2
-    assert prof.min_degree == 1
-    assert prof.arc_count == 2
-    assert prof.average_degree == pytest.approx(4 / 3)
+def test_induced_rejects_vertices_out_of_range():
+    g = OrientedGraph.from_arcs(3, [(0, 1), (1, 2)])
+    # -1 would index vertex 2 from the end, 3 would fall off the mask tuple
+    for vertices in ([-1, 0], [3]):
+        with pytest.raises(InvariantError, match=r"outside 0\.\.2"):
+            g.induced(vertices)
 
 
 def test_encode_is_sorted_and_stable():

@@ -1,10 +1,12 @@
 """Every name a module under src/orituran imports is referenced in it,
-every private helper it defines is referenced somewhere in the package, text
-becomes an int in one reader only, and a cold CLI start loads only the
+every private helper it defines is referenced somewhere in the package, every
+public name it defines is read by the program or documented in the README,
+text becomes an int in one reader only, and a cold CLI start loads only the
 modules its subcommand runs."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import orituran
 
 SRC = Path(orituran.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 # bench/layers.py rebinds this name in extremal to trace it
 ALLOWED = {("extremal", "contains_copy_through")}
@@ -93,6 +96,37 @@ def test_no_dead_private_helpers():
     used = set().union(*map(_uses, trees))
     dead = {name for tree in trees for name in _private_definitions(tree)} - used
     assert sorted(dead) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """Each public top-level name of tree, and each public method or property
+    of its top-level classes, as (qualified name, name)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            yield from ((t.id, t.id) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node.target.id
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{member.name}", member.name
+
+
+def test_no_dead_public_names():
+    """Every public name src/orituran defines is read in some module of the
+    package or of bench/, or named in backticks in README.md.  The check goes
+    by name, not by binding: canon.is_isomorphic, say, would pass because
+    bench/check.py reads nx.is_isomorphic."""
+    programs = sorted(SRC.glob("*.py")) + sorted((REPO / "bench").glob("*.py"))
+    used = set().union(*(_uses(ast.parse(path.read_text(), filename=str(path)))
+                         for path in programs))
+    spans = re.findall(r"`([^`\n]+)`", (REPO / "README.md").read_text())
+    known = used | set(re.findall(r"[A-Za-z_]\w*", " ".join(spans)))
+    dead = [f"{path.stem}.{qualified}" for path in sorted(SRC.glob("*.py"))
+            for qualified, name in _public_definitions(_module_tree(path.stem))
+            if not name.startswith("_") and name not in known]
+    assert dead == []
 
 
 def _int_calls(node: ast.AST, owner: str = ""):

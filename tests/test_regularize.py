@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orituran.containment import is_copy_witness
 from orituran.graphs import BipartiteDigraph, OrientedGraph, TooLargeError
 from orituran.extremal import BadParamsError
 from orituran.homomorphism import VertexMap
@@ -31,6 +30,7 @@ from orituran.regularize import (
     verify_bipartite_embedding,
     verify_certificate,
 )
+from checkers import is_copy_witness
 
 ARC = BipartiteDigraph((0,), (1,), (1,))
 ZOOM_SHA = "cb5e43fc558e9996f159ee0067a39ffaa257385a8fbc32294efbc5714fb206a0"

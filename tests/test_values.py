@@ -5,7 +5,7 @@ import pytest
 
 from orituran.canon import CanonicalCode, _extension_sets, canonical_code
 from orituran.extremal import ExtremalRecord, PatternSpec, VerifyReport, VerifyRow
-from orituran.graphs import BipartiteDigraph, OrientedGraph, degree_profile
+from orituran.graphs import BipartiteDigraph, OrientedGraph
 from orituran.homomorphism import CompressibilityResult, VertexMap
 from orituran.regularize import PipelineResult, RegularizeResult, RichSetCertificate, ZoomConfig
 
@@ -94,7 +94,6 @@ def _records():
         (ExtremalRecord(2, spec, 1, OrientedGraph(2, (2, 0))), "nodes"),
         (row, "status"),
         (VerifyReport(spec, (row,)), "rows"),
-        (degree_profile(spec.graph), "in_degrees"),
         (VertexMap.of(2, 2, {0: 1, 1: 0}), "mapping"),
         (CompressibilityResult(None, None), "value"),
         (RegularizeResult(host, 0.5, 2.0, 1.0, 1, 1.0, 2, 1.0, 1.0, 1, 1), "Delta"),
