@@ -14,9 +14,10 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-# The handlers import the search modules they call, so a start loads only what
-# its subcommand runs: without cached bytecode, each loaded module is compiled
-# at every start.
+# The handlers read and check their input first and then import the modules
+# they call, so a start loads only what its subcommand runs and bad input loads
+# at most patterns: without cached bytecode, each loaded module is compiled at
+# every start.
 from .graphs import (
     BadParamsError,
     BipartiteDigraph,
@@ -31,8 +32,8 @@ from .graphs import (
     encode,
 )
 
-# the names extremal.build_construction accepts, spelt out so that building the
-# parser loads no search module; a test checks each against build_construction
+# the names patterns.build_construction accepts, spelt out so that building the
+# parser loads no other module; a test checks each against build_construction
 _CONSTRUCTIONS = ("turan", "cyclepower", "starpartition", "thm32", "prop26", "prop27")
 
 EXIT_OK = 0
@@ -58,7 +59,7 @@ def _read_file(path: str) -> str:
 
 def _load_pattern(args):
     """PatternSpec from --pattern token or --pattern-file .og text."""
-    from .extremal import PatternSpec
+    from .patterns import PatternSpec
 
     token = getattr(args, "pattern", None)
     path = getattr(args, "pattern_file", None)
@@ -135,10 +136,10 @@ def _record_row(rec) -> dict:
 
 
 def _cmd_exo(args) -> int:
-    from .extremal import check_order, oracle_exo, verify_against_formula
-
     spec = _load_pattern(args)
     ns = _parse_n_range(args.n)
+    from .extremal import check_order, oracle_exo, verify_against_formula
+
     # both ends pass only if every order between them does
     check_order(ns[0], args.budget)
     check_order(ns[-1], args.budget)
@@ -163,7 +164,7 @@ def _cmd_exo(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    from .extremal import PatternSpec, build_construction
+    from .patterns import PatternSpec, build_construction
 
     pattern = PatternSpec.parse(args.pattern) if args.pattern else None
     g = build_construction(
@@ -174,11 +175,11 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_embed(args) -> int:
-    from .regularize import faks_pipeline
-
     host = decode(_read_file(args.host))
     spec = _load_pattern(args)
     pattern = _bipartite_from_oriented(spec.graph)
+    from .regularize import faks_pipeline
+
     result = faks_pipeline(host, pattern, args.r, args.seed, t_override=args.t_override)
     print(_dump_json(result.to_json_obj()))
     return EXIT_OK if result.embedding is not None else EXIT_NEGATIVE
@@ -200,14 +201,15 @@ def _hypothesis_output(holds: bool, counterexample, as_json: bool) -> int:
 
 
 def _cmd_check(args) -> int:
+    spec = _load_pattern(args)
+    if args.mode == "all-orientations":
+        n, edges = decode_undirected(_read_file(args.host))
     from .containment import all_orientations_contain, all_tournaments_contain
 
-    spec = _load_pattern(args)
     if args.mode == "all-tournaments":
         holds, cx = all_tournaments_contain(args.k, spec.graph)
-        return _hypothesis_output(holds, cx, args.json)
-    n, edges = decode_undirected(_read_file(args.host))
-    holds, cx = all_orientations_contain(n, edges, spec.graph)
+    else:
+        holds, cx = all_orientations_contain(n, edges, spec.graph)
     return _hypothesis_output(holds, cx, args.json)
 
 

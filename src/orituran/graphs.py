@@ -48,6 +48,10 @@ class BadParamsError(GraphError):
     """Construction or pattern parameters outside their valid range."""
 
 
+class EmptyPatternError(GraphError):
+    """Pattern has no arcs; the question degenerates."""
+
+
 class VertexCapError(InvariantError, TooLargeError):
     """More than MAX_VERTICES vertices: a broken invariant and a size cap."""
 

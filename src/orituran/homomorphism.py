@@ -18,11 +18,7 @@ from operator import or_
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import MAX_ENUM_VERTICES, enumerate_tournaments
-from .graphs import GraphError, OrientedGraph, TooLargeError, VertexMap
-
-
-class EmptyPatternError(GraphError):
-    """Pattern has no arcs; the question degenerates."""
+from .graphs import EmptyPatternError, OrientedGraph, TooLargeError, VertexMap
 
 
 def has_directed_cycle(g: OrientedGraph) -> bool:

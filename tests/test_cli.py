@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import orituran
-from orituran import cli, extremal, regularize
+from orituran import cli, extremal, patterns, regularize
 from orituran.cli import main
 from orituran.extremal import PatternSpec
 from orituran.graphs import VertexCapError, decode
@@ -408,17 +408,32 @@ def test_construct_cap(capsys):
     assert out == "" and err == "error: vertex count 100000 exceeds cap 64\n"
 
 
+@pytest.mark.parametrize("argv, param", [
+    (["cyclepower", "--n", "7", "--q", "2", "--r", "5"], "r"),
+    (["turan", "--n", "7", "--r", "2", "--p", "1"], "p"),
+    (["thm32", "--n", "7", "--q", "2"], "q"),
+    (["cyclepower", "--n", "7", "--q", "2", "--d", "3"], "d"),
+    (["thm32", "--n", "5", "--pattern", "dpath3"], "pattern"),
+    # several: the first in the order r, p, q, d, pattern is named
+    (["cyclepower", "--n", "7", "--q", "2", "--r", "5", "--d", "3", "--p", "9"], "r"),
+])
+def test_construct_refuses_an_option_its_construction_does_not_read(capsys, argv, param):
+    code, out, err = _run(capsys, ["construct", *argv])
+    assert code == 2 and out == ""
+    assert err == f"error: the {argv[0]} construction takes no {param}\n"
+
+
 def test_construct_choices_are_the_named_constructions(capsys):
     subs = next(a for a in cli.build_parser()._actions if a.dest == "command")
     name = next(a for a in subs.choices["construct"]._actions if a.dest == "name")
-    assert tuple(name.choices) == cli._CONSTRUCTIONS
+    assert tuple(name.choices) == cli._CONSTRUCTIONS == tuple(patterns._PARAMETERS)
     # the kwargs the construction tests use
     kwargs = {"turan": {"r": 3}, "cyclepower": {"q": 3}, "starpartition": {"p": 1, "q": 2}}
     for construction in cli._CONSTRUCTIONS:
-        g = extremal.build_construction(construction, 6, **kwargs.get(construction, {}))
+        g = patterns.build_construction(construction, 6, **kwargs.get(construction, {}))
         assert g.n == 6 and g.arc_count > 0, construction
-    with pytest.raises(extremal.BadParamsError, match="unknown construction 'nosuch'"):
-        extremal.build_construction("nosuch", 6)
+    with pytest.raises(patterns.BadParamsError, match="unknown construction 'nosuch'"):
+        patterns.build_construction("nosuch", 6)
     code, _, err = _run(capsys, ["construct", "nosuch", "--n", "4"])
     assert code == 2
     assert ("invalid choice: 'nosuch' (choose from 'turan', 'cyclepower', "

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orituran import extremal
+from orituran import extremal, patterns
 from orituran.canon import (
     _extension_sets,
     _min_digits,
@@ -359,8 +359,8 @@ THREE_ARC_TOKENS = {
 
 def test_three_arc_tokens_match_the_table():
     # family numbers above 7 and star parameters above 3 give more than three arcs
-    tokens = [f"{prefix}{k}" for prefix in extremal._FAMILIES for k in range(1, 8)]
-    tokens += [f"star:{p},{q}" for p in range(4) for q in range(4)] + list(extremal._FIXED)
+    tokens = [f"{prefix}{k}" for prefix in patterns._FAMILIES for k in range(1, 8)]
+    tokens += [f"star:{p},{q}" for p in range(4) for q in range(4)] + list(patterns._FIXED)
     named = set()
     for token in tokens:
         try:
@@ -821,6 +821,20 @@ def test_construction_caps_sizes_before_building_arcs():
 def test_construction_unknown_name():
     with pytest.raises(BadParamsError):
         build_construction("blowup", 5)
+
+
+def test_construction_refuses_parameters_it_does_not_read():
+    # the name is checked first, then each parameter, before n
+    with pytest.raises(BadParamsError, match="unknown construction 'blowup'"):
+        build_construction("blowup", 0, r=2)
+    with pytest.raises(BadParamsError, match="the thm32 construction takes no r"):
+        build_construction("thm32", 10 ** 6, r=2)
+    for name, params in patterns._PARAMETERS.items():
+        for param in ("r", "p", "q", "d", "pattern"):
+            if param not in params:
+                message = f"^the {name} construction takes no {param}$"
+                with pytest.raises(BadParamsError, match=message):
+                    build_construction(name, 9, **{param: 1})
 
 
 # --- verification reports ---------------------------------------------------------

@@ -192,7 +192,7 @@ def test_no_module_imports_dataclasses():
 def test_cli_imports_search_modules_in_its_handlers():
     # a start compiles every module it loads, so cli loads them where it calls them
     lazy = {"orituran.canon", "orituran.homomorphism", "orituran.containment",
-            "orituran.extremal", "orituran.regularize", "json"}
+            "orituran.extremal", "orituran.patterns", "orituran.regularize", "json"}
     assert lazy & set(_imported_modules(_module_tree("cli"), eager=True)) == set()
 
 
@@ -200,6 +200,25 @@ def test_regularize_depends_only_on_graphs():
     # an embed start and a bench embed pass then compile no other search module
     package = {m for m in _imported_modules(_module_tree("regularize")) if m.startswith("orituran")}
     assert package == {"orituran.graphs"}
+
+
+def test_patterns_depends_only_on_graphs():
+    # parsing a token or building a construction compiles no search module;
+    # only a turan blow-up oriented against a pattern needs compressibility
+    tree = _module_tree("patterns")
+    eager = {m for m in _imported_modules(tree, eager=True) if m.startswith("orituran")}
+    assert eager == {"orituran.graphs"}
+    package = {m for m in _imported_modules(tree) if m.startswith("orituran")}
+    assert package == {"orituran.graphs", "orituran.homomorphism"}
+
+
+def test_moved_names_keep_their_old_import_paths():
+    from orituran import extremal, graphs, homomorphism, patterns
+
+    assert extremal.PatternSpec is patterns.PatternSpec
+    assert extremal.build_construction is patterns.build_construction
+    assert extremal.turan_edges is patterns.turan_edges
+    assert homomorphism.EmptyPatternError is graphs.EmptyPatternError
 
 
 def _modules_after(code: str, cwd=None) -> set[str]:
@@ -223,8 +242,10 @@ def test_cli_cold_start_loads_neither_dataclasses_nor_inspect():
     assert "orituran.regularize" not in loaded
 
 
-SEARCH = {"orituran.canon", "orituran.homomorphism", "orituran.containment", "orituran.extremal"}
 START = {"orituran", "orituran.cli", "orituran.graphs"}
+PATTERNS = START | {"orituran.patterns"}
+# what containment loads; extremal loads it too
+SEARCH = {"orituran.canon", "orituran.homomorphism", "orituran.containment"}
 
 
 @pytest.fixture(scope="module")
@@ -233,14 +254,23 @@ def bare_modules():
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["construct", "turan", "--n", "20", "--r", "3"], START | SEARCH),
-    (["exo", "--n", "4", "--pattern", "dpath3"], START | SEARCH),
-    (["exo", "--n", "4", "--pattern", "dpath3", "--json"], START | SEARCH | {"json"}),
-    (["check-hypothesis", "all-tournaments", "--k", "4", "--pattern", "dpath3"], START | SEARCH),
+    (["construct", "turan", "--n", "20", "--r", "3"], PATTERNS),
+    (["construct", "turan", "--n", "14", "--r", "3", "--pattern", "oc4"],
+     PATTERNS | {"orituran.canon", "orituran.homomorphism"}),
+    (["exo", "--n", "4", "--pattern", "dpath3"], PATTERNS | SEARCH | {"orituran.extremal"}),
+    (["exo", "--n", "4", "--pattern", "dpath3", "--json"],
+     PATTERNS | SEARCH | {"orituran.extremal", "json"}),
+    (["check-hypothesis", "all-tournaments", "--k", "4", "--pattern", "dpath3"],
+     PATTERNS | SEARCH),
     (["compress", "p3.og"], START | {"orituran.canon", "orituran.homomorphism"}),
     (["compress", "p3.og", "--json"], START | {"orituran.canon", "orituran.homomorphism", "json"}),
     (["embed", "--host", "p3.og", "--pattern", "dpath2", "--r", "2", "--seed", "1"],
-     START | SEARCH | {"orituran.regularize", "json"}),
+     PATTERNS | {"orituran.regularize", "json"}),
+    # bad input is refused before any search module loads
+    (["exo", "--n", "4", "--pattern", "dpath1"], PATTERNS),
+    (["embed", "--host", "p3.og", "--pattern", "dpath3", "--r", "2", "--seed", "1"], PATTERNS),
+    (["check-hypothesis", "all-orientations", "--host", "missing.og", "--pattern", "dpath3"],
+     PATTERNS),
     # usage errors and main's own checks load no search module
     (["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"], START),
     (["check-hypothesis", "all-tournaments", "--pattern", "dpath3"], START),
