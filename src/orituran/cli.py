@@ -61,13 +61,9 @@ def _load_pattern(args):
     """PatternSpec from --pattern token or --pattern-file .og text."""
     from .patterns import PatternSpec
 
-    token = getattr(args, "pattern", None)
-    path = getattr(args, "pattern_file", None)
-    if (token is None) == (path is None):
-        raise BadParamsError("give exactly one of --pattern or --pattern-file")
-    if token is not None:
-        return PatternSpec.parse(token)
-    return PatternSpec.custom(decode(_read_file(path)))
+    if args.pattern is not None:
+        return PatternSpec.parse(args.pattern)
+    return PatternSpec.custom(decode(_read_file(args.pattern_file)))
 
 
 def _bipartite_from_oriented(g: OrientedGraph) -> BipartiteDigraph:
@@ -144,7 +140,7 @@ def _cmd_exo(args) -> int:
     check_order(ns[0], args.budget)
     check_order(ns[-1], args.budget)
     if args.verify_formula:
-        report = verify_against_formula(spec, ns, budget=args.budget, jobs=args.jobs)
+        report = verify_against_formula(spec, ns, budget=args.budget)
         if args.json:
             print(_dump_json(report.to_json_obj()))
         else:
@@ -234,8 +230,9 @@ def _integer(low: Optional[int] = None):
 
 
 def _add_pattern_args(sub) -> None:
-    sub.add_argument("--pattern", help="named pattern token, e.g. dpath4 or star:1,2")
-    sub.add_argument("--pattern-file", help="custom pattern as an .og file")
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--pattern", help="named pattern token, e.g. dpath4 or star:1,2")
+    group.add_argument("--pattern-file", help="custom pattern as an .og file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -256,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pattern_args(p)
     p.add_argument("--verify-formula", action="store_true")
     p.add_argument(
-        "--budget", type=_integer(0), default=None, help="node budget per worker"
+        "--budget", type=_integer(0), default=None, help="extension node budget"
     )
-    p.add_argument("--jobs", type=_integer(1), default=1)
+    p.add_argument("--jobs", type=_integer(1), default=1, help="accepted and ignored")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_exo)
 
@@ -275,18 +272,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("embed", help="extract, regularize, and zoom")
     p.add_argument("--host", required=True, help="host .og file")
     _add_pattern_args(p)
-    p.add_argument("--r", type=_integer(), required=True, help="pattern out-degree bound")
+    p.add_argument("--r", type=_integer(1), required=True, help="pattern out-degree bound")
     p.add_argument("--seed", type=_integer(), required=True)
     p.add_argument("--t-override", type=_integer(1), default=None, dest="t_override")
     p.set_defaults(func=_cmd_embed)
 
     p = subs.add_parser("check-hypothesis", help="universal containment sweeps")
-    p.add_argument("mode", choices=["all-tournaments", "all-orientations"])
-    p.add_argument("--k", type=_integer(), help="tournament order (all-tournaments)")
-    p.add_argument("--host", help="undirected host .og file (all-orientations)")
-    _add_pattern_args(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_check)
+    modes = p.add_subparsers(dest="mode", required=True)
+    tournaments = modes.add_parser("all-tournaments", help="every tournament on --k vertices")
+    tournaments.add_argument("--k", type=_integer(1), required=True, help="tournament order")
+    orientations = modes.add_parser("all-orientations", help="every orientation of --host")
+    orientations.add_argument("--host", required=True, help="undirected host .og file")
+    for p in (tournaments, orientations):
+        _add_pattern_args(p)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_check)
 
     return parser
 
@@ -302,13 +302,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the parse-error code
         return EXIT_PARSE if exc.code else EXIT_OK
-    if args.command == "check-hypothesis":
-        if args.mode == "all-tournaments" and args.k is None:
-            print("error: all-tournaments needs --k", file=sys.stderr)
-            return EXIT_PARSE
-        if args.mode == "all-orientations" and args.host is None:
-            print("error: all-orientations needs --host", file=sys.stderr)
-            return EXIT_PARSE
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -81,7 +81,7 @@ class BudgetExceededError(Exception):
         self.nodes = nodes
 
     def __reduce__(self):
-        # a forked oracle worker sends its exception to the parent pickled
+        # a caller running the library in a process pool gets it back pickled
         return type(self), (self.lower_bound, self.witness, self.nodes)
 
 

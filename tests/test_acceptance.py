@@ -114,7 +114,7 @@ def test_criterion_05_oracle_matches_closed_forms():
         ("adpath4", range(4, 7)),
     ]
     for token, ns in cases:
-        report = verify_against_formula(PatternSpec.parse(token), ns, jobs=2)
+        report = verify_against_formula(PatternSpec.parse(token), ns)
         for row in report.rows:
             assert row.status == "MATCH", (token, row.n, row.oracle, row.formula)
     _report(5, "oracle equals closed forms on exhaustive ranges", t0)

@@ -133,6 +133,8 @@ def test_exo_budget_exit(capsys):
     [
         ["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"],
         ["exo", "--n", "4", "--pattern", "dpath3", "--budget", "-1"],
+        ["check-hypothesis", "all-tournaments", "--k", "0", "--pattern", "dpath3"],
+        ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "0", "--seed", "1"],
         *(
             ["embed", "--host", "h.og", "--pattern", "dpath2", "--r", "1", "--seed", "1",
              "--t-override", t]
@@ -551,6 +553,18 @@ def test_check_hypothesis_has_no_jobs_flag(capsys):
     assert out == "" and "unrecognized arguments: --jobs 2" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-hypothesis", "all-orientations", "--host", "tri.og", "--pattern", "dpath3",
+     "--k", "5"],
+    ["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", "dpath3",
+     "--host", "/nonexistent"],
+])
+def test_check_refuses_the_other_modes_option(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
 def test_check_missing_mode_args(capsys):
     code, _, err = _run(
         capsys, ["check-hypothesis", "all-tournaments", "--pattern", "oc4"]
@@ -586,7 +600,7 @@ def _run_fresh(argv):
 
 
 def test_cold_import_and_jobs_skip_process_pool():
-    # --jobs forks its workers itself, to keep start-up and memory small
+    # --jobs is accepted and ignored: the oracle starts no process pool
     script = (
         "import sys, orituran.cli\n"
         "pool = ('concurrent.futures', 'multiprocessing')\n"
@@ -600,7 +614,7 @@ def test_cold_import_and_jobs_skip_process_pool():
 
 @pytest.mark.parametrize("extra", [[], ["--json"]])
 def test_exo_jobs_output_bytes_match_serial(extra):
-    # stdout is a pipe here, so a worker that flushed an inherited buffer would show
+    # --jobs is accepted and ignored, so its output is the serial bytes
     argv = ["-m", "orituran.cli", "exo", "--pattern", "dpath3", "--n", "4..7", *extra]
     serial = _run_fresh(argv + ["--jobs", "1"])
     assert _run_fresh(argv + ["--jobs", "2"]) == serial

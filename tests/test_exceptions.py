@@ -1,8 +1,8 @@
 """Every exception class of the package survives a pickle round trip.
 
-A forked oracle worker sends the exception it raised to its parent pickled,
-so a class whose constructor cannot be re-run from its pickled form would
-reach the caller as a TypeError instead.
+The oracle starts no process, but a caller that runs the library in a
+process pool gets each exception back pickled, so a class whose constructor
+cannot be re-run from its pickled form would reach it as a TypeError instead.
 """
 
 import importlib

@@ -4,7 +4,6 @@ import hashlib
 import itertools
 import os
 import random
-import time
 import tracemalloc
 
 import pytest
@@ -35,7 +34,6 @@ from orituran.extremal import (
     verify_against_formula,
 )
 from orituran.graphs import (
-    InvariantError,
     OrientedGraph,
     TooLargeError,
     VertexCapError,
@@ -275,6 +273,15 @@ def test_oracle_frozen_values():
         ("thm32", 7, 16, 37380),
         ("star:0,2", 7, 7, 57775),
         ("oc4", 7, 16, 18482),
+        # no construction, or one with no arc: the order below, grown by a
+        # vertex, is the seed, and nodes count this order's search alone
+        ("star:0,3", 4, 6, 0),
+        ("adpath3", 7, 7, 57775),
+        ("ttour4", 6, 15, 326),
+        ("ttour4", 7, 21, 0),
+        ("ttour5", 7, 21, 0),
+        ("adpath5", 7, 15, 183172),
+        ("adpath6", 7, 17, 53925),
     ]
     for token, n, want, nodes in frozen:
         rec = oracle_exo(n, PatternSpec.parse(token))
@@ -385,10 +392,11 @@ def test_three_arc_tokens_match_the_table():
     assert checked == 77
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_oracle_ttour4_is_every_pair_below_eight(n):
     # Erdos-Moser: every 8-tournament contains TT4 and QR7 does not, so
-    # exo(n, TT4) = C(n, 2) for n <= 7.  ttour4 has no construction seed.
+    # exo(n, TT4) = C(n, 2) for n <= 7.  ttour4 has no construction seed, so
+    # each order starts from the order below grown by one vertex.
     rec = oracle_exo(n, PatternSpec.parse("ttour4"))
     assert rec.value == n * (n - 1) // 2
     w = rec.witness
@@ -504,9 +512,7 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
     start = (n, deletions, [((0,), 0)], 1, best, digits)
     full = _reference_levels(*start, None, n)
     before_last = _reference_levels(*start, None, n - 1)
-    assert extremal._run_levels(*start, None, n) == full
-    assert extremal._run_levels(*start, None, n - 1) == before_last
-    assert extremal._run_levels(*start, None, 3) == _reference_levels(*start, None, 3)
+    assert extremal._run_levels(*start, None) == full[:4]
     # budgets that run out early, inside the last level's windows, or never
     rng = random.Random(n)
     cut = before_last[2]
@@ -514,7 +520,7 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
     budgets += [rng.randrange(full[2] + 1) for _ in range(4)]
     for budget in budgets:
         want = _reference_levels(*start, budget, n)
-        assert extremal._run_levels(*start, budget, n) == want, budget
+        assert extremal._run_levels(*start, budget) == want[:4], budget
         assert want[3] == (budget < full[2])
 
 
@@ -547,10 +553,10 @@ def test_densest_free_extension_is_exact():
         else:
             empty += 1
             assert forbidden & (1 << len(sets.exts)) - 1 == (1 << len(sets.exts)) - 1
-            # no child, at a level that would keep every child
-            frontier = extremal._run_levels(k + 2, deletions, [(parent.out, len(arcs))], k,
-                                            -1, None, None, k + 1)[4]
-            assert frontier == []
+            # no child, at a last level that would keep every child
+            best, digits = extremal._run_levels(k + 1, deletions, [(parent.out, len(arcs))], k,
+                                                -1, None, None)[:2]
+            assert (best, digits) == (-1, None)
     assert empty  # the seed reaches parents with no free extension
 
 
@@ -626,12 +632,13 @@ def test_oracle_accepts_raw_graph():
 
 
 def _assert_no_children():
-    # every forked worker has been reaped
+    # the oracle leaves no child process behind
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_oracle_jobs_deterministic():
+    # jobs is accepted and ignored: every call runs the same serial search
     for token, n in (("dpath3", 6), ("ttour3", 7), ("prop23", 7)):
         spec = PatternSpec.parse(token)
         serial = oracle_exo(n, spec)
@@ -645,81 +652,37 @@ def test_oracle_jobs_deterministic():
 
 @pytest.mark.parametrize("token, n", [("adpath3", 4), ("adpath5", 6)])
 def test_oracle_witness_is_maximum_and_free_for_every_jobs(token, n):
-    # best rises during the last level here, so the witness the pruned search
-    # retains can differ between jobs (4:012210 serially, 4:002121 with
-    # jobs=3 for adpath3); only the value is independent of jobs
+    # best rises during the last level here, so the witness depends on how
+    # the search runs; every jobs runs the same one
     spec = PatternSpec.parse(token)
     records = [oracle_exo(n, spec, jobs=jobs) for jobs in (1, 2, 3)]
     _assert_no_children()
-    assert len({rec.value for rec in records}) == 1
+    assert len({(rec.value, rec.witness, rec.nodes) for rec in records}) == 1
     for rec in records:
         assert rec.witness.arc_count == rec.value
         assert not _naive_contains(rec.witness, spec.graph)
 
 
-def test_oracle_split_without_fork_matches_forked(monkeypatch):
-    # ttour4 at n = 6 has no starting construction, so nodes depend on the
-    # split; running every share in one process must not change them
-    spec = PatternSpec.parse("ttour4")
-    forked = [oracle_exo(6, spec, jobs=jobs) for jobs in (2, 3)]
-    _assert_no_children()
-    monkeypatch.delattr(os, "fork")
-    for jobs, want in zip((2, 3), forked):
-        got = oracle_exo(6, spec, jobs=jobs)
-        assert (got.value, got.witness, got.nodes) == (want.value, want.witness, want.nodes)
-    assert forked[0].nodes != oracle_exo(6, spec).nodes
+def test_oracle_jobs_start_no_process(monkeypatch):
+    serial = oracle_exo(7, PatternSpec.parse("prop23"))
+
+    def refuse():
+        raise AssertionError("the oracle forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    got = oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
+    assert (got.value, got.witness, got.nodes) == (serial.value, serial.witness, serial.nodes)
 
 
-def test_oracle_worker_failure_is_reraised(monkeypatch):
-    parent = os.getpid()
-    run_levels = extremal._run_levels
-
-    def failing_in_children(*args):
-        if os.getpid() != parent:
-            raise InvariantError("worker failed")
-        return run_levels(*args)
-
-    monkeypatch.setattr(extremal, "_run_levels", failing_in_children)
-    with pytest.raises(InvariantError, match="worker failed"):
-        oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
-    _assert_no_children()
-
-
-def test_oracle_worker_budget_error_is_reraised(monkeypatch):
-    # the child's exception crosses the pipe pickled, with its attributes
-    parent = os.getpid()
-    run_levels = extremal._run_levels
-    witness = OrientedGraph.from_arcs(3, [(0, 1)])
-
-    def exhausted_in_children(*args):
-        if os.getpid() != parent:
-            raise BudgetExceededError(3, witness, 5)
-        return run_levels(*args)
-
-    monkeypatch.setattr(extremal, "_run_levels", exhausted_in_children)
-    with pytest.raises(BudgetExceededError) as exc:
-        oracle_exo(7, PatternSpec.parse("prop23"), jobs=2)
-    assert (exc.value.lower_bound, exc.value.witness, exc.value.nodes) == (3, witness, 5)
-    _assert_no_children()
-
-
-def test_oracle_failure_here_kills_workers(monkeypatch):
-    parent = os.getpid()
-    run_levels = extremal._run_levels
-
-    def slow_children_failing_share(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        elif args[3] == 3:  # this process's share of the split
-            raise InvariantError("share failed")
-        return run_levels(*args)
-
-    monkeypatch.setattr(extremal, "_run_levels", slow_children_failing_share)
-    t0 = time.perf_counter()
-    with pytest.raises(InvariantError, match="share failed"):
-        oracle_exo(7, PatternSpec.parse("prop23"), jobs=3)
-    assert time.perf_counter() - t0 < 10
-    _assert_no_children()
+@pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (2, 1)])
+def test_star_seed_is_the_mirror_of_its_reverse(p, q):
+    # reversing every arc of star:q,p gives star:p,q, so its seed is reversed
+    spec, mirror = PatternSpec.parse(f"star:{p},{q}"), PatternSpec.parse(f"star:{q},{p}")
+    for n in range(3, 7):
+        seed = extremal._construction_seed(spec, n)
+        assert seed == extremal._construction_seed(mirror, n).reverse(), (p, q, n)
+        assert is_free(seed, spec.graph)
+        assert oracle_exo(n, spec).value == oracle_exo(n, mirror).value, (p, q, n)
 
 
 def test_oracle_validates_inputs():

@@ -1,8 +1,8 @@
 """Every name a module under src/orituran imports is referenced in it,
 every private helper it defines is referenced somewhere in the package, every
 public name it defines is read by the program or documented in the README,
-text becomes an int in one reader only, and a cold CLI start loads only the
-modules its subcommand runs."""
+text becomes an int in one reader only, no module starts a process, and a
+cold CLI start loads only the modules its subcommand runs."""
 
 import ast
 import os
@@ -189,6 +189,22 @@ def test_no_module_imports_dataclasses():
     assert found == []
 
 
+def test_no_module_starts_processes():
+    # the oracle is one serial search, so its witnesses and node counts cannot
+    # depend on how its work is split
+    banned = {"multiprocessing", "concurrent", "subprocess", "marshal"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _module_tree(path.stem)
+        found += [f"{path.stem}: import {m}" for m in _imported_modules(tree)
+                  if m.split(".")[0] in banned]
+        found += [f"{path.stem}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "fork"
+                  or isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name == "fork" for alias in node.names)]
+    assert found == []
+
+
 def test_cli_imports_search_modules_in_its_handlers():
     # a start compiles every module it loads, so cli loads them where it calls them
     lazy = {"orituran.canon", "orituran.homomorphism", "orituran.containment",
@@ -271,9 +287,14 @@ def bare_modules():
     (["embed", "--host", "p3.og", "--pattern", "dpath3", "--r", "2", "--seed", "1"], PATTERNS),
     (["check-hypothesis", "all-orientations", "--host", "missing.og", "--pattern", "dpath3"],
      PATTERNS),
-    # usage errors and main's own checks load no search module
+    # usage errors load no search module
     (["exo", "--n", "3", "--pattern", "dpath3", "--jobs", "0"], START),
+    (["exo", "--n", "5"], START),
     (["check-hypothesis", "all-tournaments", "--pattern", "dpath3"], START),
+    (["check-hypothesis", "all-tournaments", "--k", "0", "--pattern", "dpath3"], START),
+    (["check-hypothesis", "all-tournaments", "--k", "3", "--pattern", "dpath3",
+      "--host", "p3.og"], START),
+    (["embed", "--host", "p3.og", "--pattern", "dpath2", "--r", "0", "--seed", "1"], START),
     (["compress", "missing.og"], START),
 ])
 def test_each_start_loads_only_what_its_subcommand_runs(tmp_path, bare_modules, argv, modules):
