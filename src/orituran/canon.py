@@ -24,37 +24,18 @@ swap of two such vertices is an automorphism fixing everything already
 placed, so their subtrees hold the same codes.  Stars, isolated vertices and
 complete bipartite orientations are mostly twins, and a class of m twins
 that branched m ways at a row now branches once.
-For canonical deletion the search can pin one vertex to the last position: it
-stays out of the cells and its digit ends every row.
+To tell the vertex orbits of a pattern apart, the search can pin one vertex
+to the last position: it stays out of the cells and its digit ends every row.
 
 Enumeration grows complete levels one vertex at a time (_grow).  Each way
 to join a new vertex x to a k-vertex class is one int x_out | x_in << k,
 and ExtensionSets lists them densest first, with bitsets over their
 positions that filter a parent's whole list at once (_dropped).  Every
 vertex gets the invariant (degree, out-degree, sum of its out-neighbours'
-out-degrees); a child is kept only if x has the largest, and the canonical
-codes of the kept children dedupe the level.  Levels are sorted by
-canonical digits, an order independent of how classes are generated.
-
-The exo oracle keeps McKay's canonical augmentation (accept_child), which
-grows each class from one parent class only: the forked shares of a
-jobs > 1 split must grow disjoint subtrees, and the oracle's witness and
-node count are defined over the classes its pruned levels retain.  A child
-is kept only if x lies in the orbit of a deletion vertex chosen from its
-class alone: among the vertices with the largest invariant, the one whose
-pinned-last code is smallest; two vertices share an orbit exactly when
-their pinned-last codes are equal (the oracle keeps one deletion of its
-pattern per orbit that way).  One pinned search gives x's pinned-last code,
-and a stop-early probe seeded with it, pinning each other top-invariant
-vertex, rejects the child if it finds a smaller one.  The pinned-last
-digits of (child, x) are a complete invariant of the pair: they deduplicate
-siblings and, read back as masks, give the child's representative for the
-next level.  The largest invariant is used rather than the smallest because
-the oracle's output then moves less against the rule it replaced (keep x
-iff some minimum-code labelling puts it last): on the nineteen cases of
-test_oracle_frozen_values the largest changed one witness and no node
-count, the smallest changed eight witnesses, and also prop23m's node count
-at n = 5.
+out-degrees); a child is kept only if x has the largest (accept_child, the
+exo oracle's rule too), and the canonical codes of the kept children dedupe
+the level.  Levels are sorted by canonical digits, an order independent of
+how classes are generated.
 """
 
 from __future__ import annotations
@@ -93,22 +74,17 @@ def _search(
     n: int,
     best: bytearray,
     pin: Optional[int],
-    stop_early: bool,
-) -> bool:
-    """Lower best in place to the minimum code; True iff something beat the seed.
+) -> None:
+    """Lower best in place to the minimum code.
 
     ins holds the in-masks of out.  With pin set, only labellings that put
-    vertex pin last are searched.  stop_early returns as soon as an
-    improvement is certain, leaving best unspecified (enough for canonicity
-    tests).
+    vertex pin last are searched.
     """
     pin_bit = 0 if pin is None else 1 << pin
     zeros, ones, twos = _RUNS
     cur = bytearray(len(best))
-    improved = False
 
     def dfs(cells: list[int], off: int, left: int) -> None:
-        nonlocal improved
         if len(cells) == left:
             # one cell per unplaced vertex: the rest of the labelling is forced
             order = [c.bit_length() - 1 for c in cells]
@@ -122,7 +98,6 @@ def _search(
             cur[off:] = tail
             if cur < best:
                 best[:] = cur
-                improved = True
             cur[off:] = bytes(len(tail))
             return
         first, rest = cells[0], cells[1:]
@@ -177,47 +152,42 @@ def _search(
             branches.append(split)
         row = b"".join(runs)
         end = off + len(row)
-        if stop_early and row < best[off:end]:
-            # on any path still searched the rows above equal best's
-            improved = True
-            return
         cur[off:end] = row
         for split in branches:
             # zeros in the rows below minorize every completion
-            if not cur < best or (improved and stop_early):
+            if not cur < best:
                 break
             dfs(split, end, left - 1)
         cur[off:end] = bytes(len(row))
 
     start = ((1 << n) - 1) & ~pin_bit
     dfs([start] if start else [], 0, start.bit_count())
-    return improved
 
 
 def _min_digits(out: tuple[int, ...], n: int) -> bytes:
     best = _identity_digits(out, n)
-    _search(out, _in_masks(out, n), n, best, None, stop_early=False)
+    _search(out, _in_masks(out, n), n, best, None)
     return bytes(best)
 
 
 def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int) -> bytearray:
     """The minimum code over the labellings that put vertex n-1 last."""
     best = _identity_digits(out, n)
-    _search(out, ins, n, best, n - 1, stop_early=False)
+    _search(out, ins, n, best, n - 1)
     return best
 
 
-def _top_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> Optional[list[int]]:
-    """Each vertex's invariant (degree, out-degree, out-neighbours'
-    out-degrees), packed in 4, 4 and 7 bits as n <= 10, or None when vertex
-    n-1 lacks the largest.  The first two parts alone reject most children;
-    the third is added only where they tie n-1's."""
+def _top_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> bool:
+    """Whether vertex n-1 has the largest invariant (degree, out-degree,
+    out-neighbours' out-degrees), packed in 4, 4 and 7 bits as n <= 10.  The
+    first two parts alone reject most children; the third is added only
+    where they tie n-1's."""
     x = n - 1
     degs = [m.bit_count() for m in out]
     inv = [((o | i).bit_count() << 4 | d) << 7 for o, i, d in zip(out, ins, degs)]
     top = inv[x]
     if max(inv) > top:
-        return None
+        return False
     for v in range(n):
         if inv[v] == top:
             m = out[v]
@@ -225,25 +195,17 @@ def _top_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> Optional[l
                 low = m & -m
                 inv[v] += degs[low.bit_length() - 1]
                 m ^= low
-    if max(inv) > inv[x]:
-        return None
-    return inv
+    return max(inv) == inv[x]
 
 
 def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
-    """Canonical-augmentation acceptance for a child whose new vertex is n-1.
-
-    Returns the child's pinned-last digits (the minimum code over labellings
-    that put n-1 last) when n-1 lies in the child's deletion orbit, else None.
-    """
+    """The canonical digits of a child whose new vertex n-1 has the largest
+    invariant, else None: the child rule of _grow and the exo oracle."""
     ins = _in_masks(out, n)
-    inv = _top_invariant(out, ins, n)
-    if inv is None:
+    if not _top_invariant(out, ins, n):
         return None
-    best = _last_pinned_digits(out, ins, n)
-    for w in range(n - 1):
-        if inv[w] == inv[-1] and _search(out, ins, n, bytearray(best), w, stop_early=True):
-            return None
+    best = _identity_digits(out, n)
+    _search(out, ins, n, best, None)
     return bytes(best)
 
 
@@ -354,8 +316,8 @@ def _twin_images(masks: Sequence[int], ins: Sequence[int],
     Swapping false twins u < w (equal out- and in-masks) is an automorphism,
     so an extension whose state at u exceeds its state at w has the same
     child, up to an isomorphism fixing the new vertex, as the extension with
-    the two states swapped, which is listed earlier.  accept_child and _grow
-    give both the same answer, so the later one adds no class.
+    the two states swapped, which is listed earlier.  accept_child gives both
+    the same answer, so the later one adds no class.
     Comparing each twin with the previous member of its class drops the same
     positions as comparing every pair.
     """
@@ -375,10 +337,10 @@ def _dropped(masks: Sequence[int], ins: Sequence[int], sets: ExtensionSets) -> i
     every position from some point on).
 
     Besides the twin images, the degree cut drops the children whose new
-    vertex x lacks the largest degree, which accept_child and _grow reject
-    first.  With D the parent's largest degree, those are every x with fewer
-    than D arcs, and every x with exactly D arcs that touches a vertex of
-    degree D (which it lifts to D + 1).
+    vertex x lacks the largest degree, which accept_child rejects first.
+    With D the parent's largest degree, those are every x with fewer than D
+    arcs, and every x with exactly D arcs that touches a vertex of degree D
+    (which it lifts to D + 1).
     """
     k = len(masks)
     lanes, prefix = sets.lanes, sets.prefix
@@ -431,12 +393,9 @@ def _grow(level: Iterable[tuple[int, ...]], k: int, tournament: bool) -> list[tu
         while live:
             low = live & -live
             live ^= low
-            out = extend_masks(masks, exts[low.bit_length() - 1])
-            ins = _in_masks(out, n)
-            if _top_invariant(out, ins, n) is not None:
-                best = _identity_digits(out, n)
-                _search(out, ins, n, best, None, stop_early=False)
-                codes.add(bytes(best))
+            digits = accept_child(extend_masks(masks, exts[low.bit_length() - 1]), n)
+            if digits is not None:
+                codes.add(digits)
     return [masks_from_digits(d, n) for d in sorted(codes)]
 
 

@@ -134,7 +134,7 @@ def _record_row(rec) -> dict:
 def _cmd_exo(args) -> int:
     spec = _load_pattern(args)
     ns = _parse_n_range(args.n)
-    from .extremal import check_order, oracle_exo, verify_against_formula
+    from .extremal import _records, check_order, verify_against_formula
 
     # both ends pass only if every order between them does
     check_order(ns[0], args.budget)
@@ -146,9 +146,7 @@ def _cmd_exo(args) -> int:
         else:
             print(report.to_text())
         return EXIT_OK
-    rows = []
-    for n in ns:
-        rows.append(_record_row(oracle_exo(n, spec, budget=args.budget, jobs=args.jobs)))
+    rows = [_record_row(rec) for rec in _records(spec, ns, args.budget)]
     if args.json:
         print(_dump_json({"pattern": spec.token, "rows": rows}))
     else:

@@ -17,8 +17,9 @@ P drops the extensions that an automorphism of P maps to an earlier-listed one
 (symmetry pruning of the extension set, McKay, Isomorph-free exhaustive
 generation, J. Algorithms 26 (1998)), and a degree cut drops those whose new
 vertex would lack the child's largest degree.  Only the survivors are tested
-canonically.  Each later vertex also joins P by an F-free extension, so it
-sends P at most as many arcs as the densest one, which caps the child's subtree.
+canonically, by the enumerators' rule (canon.accept_child).  Each later
+vertex also joins P by an F-free extension, so it sends P at most as many arcs
+as the densest one, which caps the child's subtree.
 """
 
 from __future__ import annotations
@@ -274,8 +275,10 @@ def _run_levels(
     a window at the front of the list (it is ordered densest first); nodes
     counts the window whole, as if each extension in it were examined in
     turn.  Only the survivors, which pass the degree cut, are no twin image
-    of an earlier extension and complete no copy of F, reach the canonical
-    test; a parent whose window the first two empty needs no copy search.
+    of an earlier extension and complete no copy of F, reach accept_child,
+    the enumerators' child rule; its canonical digits dedupe each level and
+    are the witness at the last.  A parent whose window the first two cuts
+    empty needs no copy search.
     Below the last level, each of the rest = n - k - 1 later vertices joins P
     by an F-free extension, hence by at most d arcs, d those of the densest, so
     a child that cannot beat best with rest * (d + 1) + C(rest, 2) more arcs is cut.
@@ -293,6 +296,7 @@ def _run_levels(
         exts = sets.exts
         prefix = sets.prefix
         covers: dict[int, int] = {}
+        codes: set[bytes] = set()
         nxt: list[tuple[tuple[int, ...], int]] = []
         for masks, arcs in level:
             if arcs + cap_parent <= best:
@@ -313,7 +317,6 @@ def _run_levels(
                     # cap_child let each later vertex send k + 1 arcs, not d + 1
                     t += (n - k - 1) * (k - _densest_free(forbidden, exts))
                     live &= (1 << prefix[min(max(t, 0), k + 1)]) - 1
-            seen: set[bytes] = set()
             while live:
                 low = live & -live
                 live ^= low
@@ -322,12 +325,10 @@ def _run_levels(
                 if last and child_arcs < best:
                     break  # best rose inside the window, which ends here
                 digits = accept_child(extend_masks(masks, x), k + 1)
-                if digits is None or digits in seen:
+                if digits is None or digits in codes:
                     continue
-                seen.add(digits)
+                codes.add(digits)
                 if last:
-                    # pinned digits identify (child, x); ties need the child's own code
-                    digits = _min_digits(masks_from_digits(digits, n), n)
                     if child_arcs > best:
                         best, best_digits = child_arcs, digits
                     elif best_digits is None or digits < best_digits:
@@ -377,10 +378,27 @@ def oracle_exo(
     extensions examined at order n alone.  jobs is accepted and ignored.
     """
     spec = pattern if isinstance(pattern, PatternSpec) else PatternSpec.custom(pattern)
-    f = spec.graph
-    if f.arc_count == 0:
+    return _records(spec, [n], budget)[0]
+
+
+def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> list[ExtremalRecord]:
+    """oracle_exo(n, spec, budget) for each n of ns in turn.  An order whose
+    seed grows from exo(n - 1)'s witness takes the record made just before it
+    when that one is n - 1's, so an increasing range solves each order once."""
+    if spec.graph.arc_count == 0:
         raise EmptyPatternError("oracle needs a pattern with at least one arc")
-    check_order(n, budget)
+    records: list[ExtremalRecord] = []
+    for n in ns:
+        check_order(n, budget)
+        below = records[-1] if records and records[-1].n == n - 1 else None
+        records.append(_record(spec, n, budget, below))
+    return records
+
+
+def _record(spec: PatternSpec, n: int, budget: Optional[int],
+            below: Optional[ExtremalRecord]) -> ExtremalRecord:
+    """oracle_exo at one checked order; below is exo(n - 1)'s record, if known."""
+    f = spec.graph
     if f.n > n:
         # the pattern cannot fit, so the complete transitive order is free
         witness = OrientedGraph.from_arcs(
@@ -393,7 +411,9 @@ def oracle_exo(
     if budget is None and (seed is None or seed.arc_count == 0):
         # without a construction the bound cuts little until best is high;
         # for ttour4 at n = 7 the grown witness is QR7, so nothing beats it
-        grown = _grown(oracle_exo(n - 1, spec).witness, deletions)
+        if below is None:
+            below = _record(spec, n - 1, None, None)
+        grown = _grown(below.witness, deletions)
         if grown is not None and (seed is None or grown.arc_count > seed.arc_count):
             seed = grown
     best = seed.arc_count if seed is not None else -1
@@ -468,8 +488,8 @@ def verify_against_formula(
     # every closed form first, so that a pattern without one fails before any search
     formulas = {n: formula_value(spec, n) for n in sorted(set(ns))}
     rows = []
-    for n, (value, validity) in formulas.items():
-        record = oracle_exo(n, spec, budget=budget)
+    for record in _records(spec, formulas, budget):
+        value, validity = formulas[record.n]
         if record.value == value:
             status = "MATCH"
         elif record.value > value:
@@ -478,7 +498,7 @@ def verify_against_formula(
             status = "ORACLE_LOWER"
         rows.append(
             VerifyRow(
-                n=n,
+                n=record.n,
                 oracle=record.value,
                 formula=value,
                 validity=validity,

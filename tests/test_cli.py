@@ -358,7 +358,7 @@ def test_every_package_exception_maps_to_a_documented_exit_code(capsys, monkeypa
         raise raising[-1]
 
     # the handlers look these up when they run, so patching the library suffices
-    monkeypatch.setattr(extremal, "oracle_exo", fail)
+    monkeypatch.setattr(extremal, "_records", fail)
     monkeypatch.setattr(regularize, "faks_pipeline", fail)
     monkeypatch.setattr(cli, "_read_file", lambda path: "2\n")
     for exc in SAMPLES:
@@ -374,7 +374,7 @@ def test_an_exception_from_outside_the_package_propagates(monkeypatch, argv):
     def fail(*args, **kwargs):
         raise RuntimeError("a bug")
 
-    monkeypatch.setattr(extremal, "oracle_exo", fail)
+    monkeypatch.setattr(extremal, "_records", fail)
     monkeypatch.setattr(regularize, "faks_pipeline", fail)
     monkeypatch.setattr(cli, "_read_file", lambda path: "2\n")
     with pytest.raises(RuntimeError, match="a bug"):

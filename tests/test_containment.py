@@ -416,7 +416,7 @@ def test_forbidden_positions_are_the_extensions_covering_a_pair(token, k, seed):
 
 
 def _accepted(masks, k, positions):
-    """Distinct accepted pinned-last digits of the children at positions, in order."""
+    """Distinct canonical digits of the accepted children at positions, in order."""
     found = []
     for p, x in enumerate(_extension_sets(k).exts):
         if positions >> p & 1:

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from orituran import extremal, patterns
+from orituran import cli, extremal, patterns
 from orituran.canon import (
+    CanonicalCode,
     _extension_sets,
     _min_digits,
     accept_child,
@@ -252,65 +253,67 @@ def test_oracle_matches_brute_force_on_random_patterns(k, digits):
 
 
 def test_oracle_frozen_values():
-    # (pattern, n, value, nodes): nodes pins the work as well as the answer
+    # (pattern, n, value, nodes, witness): nodes pins the work as well as the
+    # answer, and the witness's canonical code the tie-break among maxima
     frozen = [
-        ("dpath3", 5, 6, 269),
-        ("dpath3", 6, 9, 920),
-        ("dpath3", 7, 12, 4884),
-        ("adpath4", 5, 7, 572),
-        ("adpath4", 6, 9, 7779),
-        ("star:1,2", 6, 12, 1300),
-        ("prop23", 6, 9, 4466),
-        ("p3plusarc", 6, 9, 16039),
-        ("thm32", 6, 12, 3308),
-        ("dpath4", 7, 16, 5482),
-        ("ttour3", 7, 16, 2991),
-        ("star:1,2", 7, 16, 9691),
-        ("matching2", 7, 6, 17304),
-        ("prop23", 7, 12, 21613),
-        ("adpath4", 7, 11, 89305),
-        ("p3plusarc", 7, 11, 106795),
-        ("thm32", 7, 16, 37380),
-        ("star:0,2", 7, 7, 57775),
-        ("oc4", 7, 16, 18482),
+        ("dpath3", 5, 6, 269, "5:0011011110"),
+        ("dpath3", 6, 9, 920, "6:001110111111000"),
+        ("dpath3", 7, 12, 4884, "7:000111001110111111000"),
+        ("adpath4", 5, 7, 572, "5:0012012121"),
+        ("adpath4", 6, 9, 7779, "6:000120012012121"),
+        ("star:1,2", 6, 12, 1300, "6:011111111012210"),
+        ("prop23", 6, 9, 4466, "6:001110111111000"),
+        ("p3plusarc", 6, 9, 16151, "6:000220022022221"),
+        ("thm32", 6, 12, 3308, "6:001110111111121"),
+        ("dpath4", 7, 16, 5482, "7:001111011111111011110"),
+        ("ttour3", 7, 16, 3023, "7:001122011221122011110"),
+        ("star:1,2", 7, 16, 9691, "7:001111011111111012210"),
+        ("matching2", 7, 6, 17304, "7:000002000020002002022"),
+        ("prop23", 7, 12, 21613, "7:000111001110111111000"),
+        ("adpath4", 7, 11, 90809, "7:000012000120012012121"),
+        ("p3plusarc", 7, 11, 106795, "7:000022000220022022221"),
+        ("thm32", 7, 16, 37380, "7:001111011111111012210"),
+        ("star:0,2", 7, 7, 57775, "7:000001000010001010121"),
+        ("oc4", 7, 16, 18514, "7:001111011111111011110"),
         # no construction, or one with no arc: the order below, grown by a
         # vertex, is the seed, and nodes count this order's search alone
-        ("star:0,3", 4, 6, 0),
-        ("adpath3", 7, 7, 57775),
-        ("ttour4", 6, 15, 326),
-        ("ttour4", 7, 21, 0),
-        ("ttour5", 7, 21, 0),
-        ("adpath5", 7, 15, 183172),
-        ("adpath6", 7, 17, 53925),
+        ("star:0,3", 4, 6, 0, "4:112111"),
+        ("adpath3", 7, 7, 57775, "7:000002000020002002121"),
+        ("ttour4", 6, 15, 326, "6:111221211112211"),
+        ("ttour4", 7, 21, 0, "7:111222121121121211121"),
+        ("ttour5", 7, 21, 0, "7:111112111211211111111"),
+        ("adpath5", 7, 15, 185220, "7:000022011221122101112"),
+        ("adpath6", 7, 17, 53925, "7:001122011221122101112"),
     ]
-    for token, n, want, nodes in frozen:
+    for token, n, want, nodes, witness in frozen:
         rec = oracle_exo(n, PatternSpec.parse(token))
         assert (rec.value, rec.nodes) == (want, nodes), (token, n)
+        assert canonical_code(rec.witness).serialize() == witness, (token, n)
         assert is_free(rec.witness, PatternSpec.parse(token).graph)
 
 
 # The paper's table: every oriented graph F with 1-3 arcs and no isolated
-# vertex, by canonical code, with exo(n, F) for n = 2..6.
+# vertex, by canonical code, with exo(n, F) for n = 2..7.
 THREE_ARC_EXO = {
-    "2:1": (0, 0, 0, 0, 0),
-    "3:011": (1, 3, 4, 5, 6),
-    "3:012": (1, 2, 4, 6, 9),
-    "3:022": (1, 3, 4, 5, 6),
-    "3:111": (1, 3, 5, 8, 12),
-    "3:121": (1, 3, 6, 10, 15),
-    "4:001011": (1, 3, 6, 10, 12),
-    "4:001012": (1, 3, 6, 9, 12),
-    "4:001022": (1, 3, 6, 9, 12),
-    "4:001100": (1, 3, 3, 4, 5),
-    "4:001101": (1, 3, 5, 7, 9),
-    "4:001110": (1, 3, 5, 7, 9),
-    "4:001120": (1, 3, 5, 8, 12),
-    "4:002022": (1, 3, 6, 10, 12),
-    "4:002110": (1, 3, 5, 7, 9),
-    "5:0001001100": (1, 3, 6, 7, 9),
-    "5:0001002100": (1, 3, 6, 7, 9),
-    "5:0001020200": (1, 3, 6, 7, 9),
-    "6:000010010100000": (1, 3, 6, 10, 10),
+    "2:1": (0, 0, 0, 0, 0, 0),
+    "3:011": (1, 3, 4, 5, 6, 7),
+    "3:012": (1, 2, 4, 6, 9, 12),
+    "3:022": (1, 3, 4, 5, 6, 7),
+    "3:111": (1, 3, 5, 8, 12, 16),
+    "3:121": (1, 3, 6, 10, 15, 21),
+    "4:001011": (1, 3, 6, 10, 12, 14),
+    "4:001012": (1, 3, 6, 9, 12, 16),
+    "4:001022": (1, 3, 6, 9, 12, 16),
+    "4:001100": (1, 3, 3, 4, 5, 6),
+    "4:001101": (1, 3, 5, 7, 9, 12),
+    "4:001110": (1, 3, 5, 7, 9, 11),
+    "4:001120": (1, 3, 5, 8, 12, 16),
+    "4:002022": (1, 3, 6, 10, 12, 14),
+    "4:002110": (1, 3, 5, 7, 9, 12),
+    "5:0001001100": (1, 3, 6, 7, 9, 11),
+    "5:0001002100": (1, 3, 6, 7, 9, 12),
+    "5:0001020200": (1, 3, 6, 7, 9, 11),
+    "6:000010010100000": (1, 3, 6, 10, 10, 11),
 }
 
 
@@ -324,7 +327,7 @@ def test_three_arc_table_up_to_six(oriented_graphs_6):
     assert sorted(patterns) == sorted(THREE_ARC_EXO)
     exo = {code: tuple(oracle_exo(n, PatternSpec.custom(f)).value for n in range(2, 7))
            for code, f in patterns.items()}
-    assert exo == THREE_ARC_EXO
+    assert exo == {code: row[:5] for code, row in THREE_ARC_EXO.items()}
     # densest classes first, so the first F-free one has exo(n, F) arcs
     hosts = {n: sorted(enumerate_oriented_graphs(n), key=lambda g: -g.arc_count)
              for n in range(2, 6)}
@@ -338,6 +341,19 @@ def test_three_arc_table_up_to_six(oriented_graphs_6):
         for n in range(2, 6):
             free = next(g for g in hosts[n] if not _naive_contains(g, f))
             assert value[n] == free.arc_count, (code, n)
+
+
+def test_three_arc_table_at_seven():
+    # brute force is out of reach at n = 7, so each value is checked against
+    # n = 6 by the bounds above, and its witness by a plain copy search
+    for code, row in THREE_ARC_EXO.items():
+        f = CanonicalCode.parse(code).to_graph()
+        rec = oracle_exo(7, PatternSpec.custom(f))
+        assert rec.value == row[5], code
+        assert row[4] <= row[5] <= 7 * row[4] // 5, code
+        assert rec.witness.arc_count == rec.value, code
+        assert not _naive_contains(rec.witness, f), code
+        assert THREE_ARC_EXO[canonical_code(f.reverse()).serialize()][5] == row[5], code
 
 
 # Every named token with 1-3 arcs (none has an isolated vertex) and its
@@ -408,6 +424,31 @@ def test_oracle_ttour4_is_every_pair_below_eight(n):
     )
 
 
+@pytest.mark.parametrize("token", ["ttour4", "adpath5", "star:0,4"])
+def test_a_range_solves_each_order_once(token, monkeypatch, capsys):
+    # each order's seed grows from the order below, which the range has just
+    # solved; the output bytes equal those of one oracle_exo call per order
+    spec = PatternSpec.parse(token)
+    want = [oracle_exo(n, spec) for n in range(3, 8)]
+    runs = []
+    run_levels = extremal._run_levels
+    monkeypatch.setattr(extremal, "_run_levels",
+                        lambda n, *rest: runs.append(n) or run_levels(n, *rest))
+    assert main(["exo", "--n", "3..7", "--pattern", token, "--json"]) == 0
+    solved = [n for n in range(3, 8) if n >= spec.graph.n]
+    assert runs == solved
+    rows = [cli._record_row(rec) for rec in want]
+    assert capsys.readouterr().out == cli._dump_json({"pattern": token, "rows": rows}) + "\n"
+    if token == "star:0,4":
+        # the one with a closed form: ttour4's needs z(TT4), past the
+        # tournament cap, and adpath5 has none
+        runs.clear()
+        report = verify_against_formula(spec, range(3, 8))
+        assert runs == solved
+        assert [(row.n, row.oracle, row.witness_code) for row in report.rows] == [
+            (rec.n, rec.value, canonical_code(rec.witness).serialize()) for rec in want]
+
+
 def _brute_force_exo(n, pattern):
     """exo(n, pattern) over all 3^C(n,2) labelled graphs as arc bitmasks: a
     graph holds a copy iff it contains the arc set of some injective image."""
@@ -458,11 +499,11 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
         cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
         rest = n - k - 1
+        seen = set()
         nxt = []
         for masks, arcs in level:
             if arcs + cap_parent <= best:
                 continue
-            seen = set()
             keys = None
             for x in _extension_sets(k).exts:
                 child_arcs = arcs + x.bit_count()
@@ -487,7 +528,6 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
                     continue
                 seen.add(digits)
                 if last:
-                    digits = _min_digits(masks_from_digits(digits, n), n)
                     if child_arcs > best:
                         best, best_digits = child_arcs, digits
                     elif best_digits is None or digits < best_digits:

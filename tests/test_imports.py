@@ -1,8 +1,9 @@
 """Every name a module under src/orituran imports is referenced in it,
 every private helper it defines is referenced somewhere in the package, every
 public name it defines is read by the program or documented in the README,
-text becomes an int in one reader only, no module starts a process, and a
-cold CLI start loads only the modules its subcommand runs."""
+text becomes an int in one reader only, no module starts a process, one child
+rule keeps the enumerators' and the oracle's children, and a cold CLI start
+loads only the modules its subcommand runs."""
 
 import ast
 import os
@@ -203,6 +204,32 @@ def test_no_module_starts_processes():
                   or isinstance(node, ast.ImportFrom) and node.module == "os"
                   and any(alias.name == "fork" for alias in node.names)]
     assert found == []
+
+
+def _readers(tree: ast.Module, names: set[str]):
+    """(top-level definition or "<module>", name) for each read of one of
+    names, as a bare name or an attribute."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id in names:
+                yield owner, node.id
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                yield owner, node.attr
+            elif isinstance(node, ast.ImportFrom):
+                yield from ((owner, a.name) for a in node.names if a.name in names)
+
+
+def test_one_child_rule():
+    # the enumerators and the exo oracle keep a child by accept_child alone;
+    # the code search otherwise serves canonical codes and the orbits of F
+    allowed = {("canon", "_min_digits"), ("canon", "_last_pinned_digits"),
+               ("canon", "accept_child")}
+    searches = [f"{path.stem}.{owner}" for path in sorted(SRC.glob("*.py"))
+                for owner, _ in _readers(_module_tree(path.stem), {"_search"})
+                if (path.stem, owner) not in allowed]
+    assert searches == []
+    assert list(_readers(_module_tree("extremal"), {"_search", "_top_invariant"})) == []
 
 
 def test_cli_imports_search_modules_in_its_handlers():
