@@ -32,7 +32,7 @@ to join a new vertex x to a k-vertex class is one int x_out | x_in << k,
 and ExtensionSets lists them densest first, with bitsets over their
 positions that filter a parent's whole list at once (_dropped).  Every
 vertex gets the invariant (degree, out-degree, sum of its out-neighbours'
-out-degrees); a child is kept only if x has the largest (accept_child, the
+out-degrees); a child is kept only if x has the least (accept_child, the
 exo oracle's rule too), and the canonical codes of the kept children dedupe
 the level.  Levels are sorted by canonical digits, an order independent of
 how classes are generated.
@@ -177,32 +177,32 @@ def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int) -> bytea
     return best
 
 
-def _top_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> bool:
-    """Whether vertex n-1 has the largest invariant (degree, out-degree,
+def _least_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> bool:
+    """Whether vertex n-1 has the least invariant (degree, out-degree,
     out-neighbours' out-degrees), packed in 4, 4 and 7 bits as n <= 10.  The
     first two parts alone reject most children; the third is added only
     where they tie n-1's."""
     x = n - 1
     degs = [m.bit_count() for m in out]
     inv = [((o | i).bit_count() << 4 | d) << 7 for o, i, d in zip(out, ins, degs)]
-    top = inv[x]
-    if max(inv) > top:
+    least = inv[x]
+    if min(inv) < least:
         return False
     for v in range(n):
-        if inv[v] == top:
+        if inv[v] == least:
             m = out[v]
             while m:
                 low = m & -m
                 inv[v] += degs[low.bit_length() - 1]
                 m ^= low
-    return max(inv) == inv[x]
+    return min(inv) == inv[x]
 
 
 def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
-    """The canonical digits of a child whose new vertex n-1 has the largest
+    """The canonical digits of a child whose new vertex n-1 has the least
     invariant, else None: the child rule of _grow and the exo oracle."""
     ins = _in_masks(out, n)
-    if not _top_invariant(out, ins, n):
+    if not _least_invariant(out, ins, n):
         return None
     best = _identity_digits(out, n)
     _search(out, ins, n, best, None)
@@ -333,26 +333,25 @@ def _twin_images(masks: Sequence[int], ins: Sequence[int],
 
 def _dropped(masks: Sequence[int], ins: Sequence[int], sets: ExtensionSets) -> int:
     """The positions of the extensions of a k-vertex parent that add no class
-    an earlier position does not already add, as a bitset (possibly negative:
-    every position from some point on).
+    an earlier position does not already add, as a bitset.
 
     Besides the twin images, the degree cut drops the children whose new
-    vertex x lacks the largest degree, which accept_child rejects first.
-    With D the parent's largest degree, those are every x with fewer than D
-    arcs, and every x with exactly D arcs that touches a vertex of degree D
-    (which it lifts to D + 1).
+    vertex x lacks the least degree, which accept_child rejects first.
+    With d the parent's least degree, those are every x with more than d + 1
+    arcs, and every x with exactly d + 1 arcs that misses a vertex of degree d
+    (which keeps degree d).
     """
     k = len(masks)
     lanes, prefix = sets.lanes, sets.prefix
     degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
-    top = max(degs, default=0)
-    touched = 0
+    least = min(degs)
+    missed = 0
     for v, d in enumerate(degs):
-        if d == top:
-            touched |= lanes[v] | lanes[v + k]
-    # positions from prefix[top] on have fewer than top arcs; those from
-    # prefix[top + 1] to there have exactly top
-    cut = -1 << prefix[top] | touched & ~((1 << prefix[top + 1]) - 1)
+        if d == least:
+            missed |= ~(lanes[v] | lanes[v + k])
+    # positions before prefix[least + 2] have more than least + 1 arcs; those
+    # from there to prefix[least + 1] have exactly least + 1
+    cut = (1 << prefix[least + 2]) - 1 | missed & (1 << prefix[least + 1]) - 1
     return cut | _twin_images(masks, ins, sets.greater)
 
 
@@ -375,9 +374,9 @@ def _grow(level: Iterable[tuple[int, ...]], k: int, tournament: bool) -> list[tu
     classes (tournaments: each parent takes only its first 2^k extensions)
     from one representative per k-vertex class.
 
-    A child is kept when its new vertex has the largest invariant, and its
+    A child is kept when its new vertex has the least invariant, and its
     canonical code dedupes it.  Every class C is reached: C - v is in level
-    for a vertex v with the largest invariant, and some extension gives a
+    for a vertex v with the least invariant, and some extension gives a
     child isomorphic to C with v as the new vertex.  The degree cut in
     _dropped keeps it, as degree is the invariant's first field.  A twin
     cut drops it only for an earlier extension whose child is isomorphic by

@@ -2,28 +2,32 @@
 
 exo(n, F) is the largest arc count among n-vertex oriented graphs containing
 no copy of F.  The oracle enumerates F-free graphs one isomorphism class at a
-time (freeness survives vertex deletion, so pruning whole subtrees is sound)
-with a branch-and-bound cutoff, and is seeded with a verified F-free
-construction, or, where none has an arc, with exo(n - 1)'s witness grown by
-one vertex (Erdos & Moser's QR7 for TT4 at n = 7).  A child P + x of an F-free
-parent P contains F exactly when P holds a copy phi of some F - u with
-phi(N+(u)) inside x's out-set and phi(N-(u)) inside its in-set (one-vertex
-extension by feasible neighbourhoods, McKay & Radziszowski, R(4,5) = 25); u
-ranges over one vertex per orbit of Aut(F), since an orbit's vertices give the
-same pairs.  Each parent decides its 3^k extensions at once, as bitsets over
-their positions in the extension list: the bound admits a prefix of the list,
-each such pair forbids the AND of its lane masks, each pair of false twins in
-P drops the extensions that an automorphism of P maps to an earlier-listed one
-(symmetry pruning of the extension set, McKay, Isomorph-free exhaustive
-generation, J. Algorithms 26 (1998)), and a degree cut drops those whose new
-vertex would lack the child's largest degree.  Only the survivors are tested
-canonically, by the enumerators' rule (canon.accept_child).  Each later
-vertex also joins P by an F-free extension, so it sends P at most as many arcs
-as the densest one, which caps the child's subtree.
+time (freeness survives vertex deletion, so pruning whole subtrees is sound),
+each class grown from itself minus a vertex of least invariant, as in
+Garnick, Kwong and Lazebnik's extremal graphs without three- or four-cycles.
+Deleting a vertex of least degree never lowers the density, so a density
+window cuts every level, and since it cuts only what cannot reach the best
+arc count, the witness is the smallest canonical code among all maxima.  The
+search is seeded with the better of a verified F-free construction and
+exo(n - 1)'s witness grown by one vertex (Erdos & Moser's QR7 for TT4 at
+n = 7).  A child P + x of an F-free parent P contains F exactly when P holds
+a copy phi of some F - u with phi(N+(u)) inside x's out-set and phi(N-(u))
+inside its in-set (one-vertex extension by feasible neighbourhoods, McKay &
+Radziszowski, R(4,5) = 25); u ranges over one vertex per orbit of Aut(F),
+since an orbit's vertices give the same pairs.  Each parent decides its 3^k
+extensions at once, as bitsets over their positions in the extension list:
+the window admits a prefix of the list, each such pair forbids the AND of
+its lane masks, each pair of false twins in P drops the extensions that an
+automorphism of P maps to an earlier-listed one (symmetry pruning of the
+extension set, McKay, Isomorph-free exhaustive generation, J. Algorithms 26
+(1998)), and a degree cut drops those whose new vertex would lack the
+child's least degree.  Only the survivors are tested canonically, by the
+enumerators' rule (canon.accept_child).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, NamedTuple, Optional
 
 from .canon import (
@@ -49,10 +53,10 @@ from .graphs import (
     TooLargeError,
     _in_masks,
 )
-from .homomorphism import SearchPlan, compressibility
+from .homomorphism import CompressibilityResult, SearchPlan, compressibility
 # these names live in patterns, which loads no search module; the README and
 # the benchmark import them from here too
-from .patterns import PatternSpec, build_construction, turan_edges
+from .patterns import PatternSpec, _blow_up, _transitive, build_construction, turan_edges
 
 MAX_EXACT_VERTICES = 7
 
@@ -145,14 +149,23 @@ def _seed_candidates(spec: PatternSpec, n: int) -> list[OrientedGraph]:
         attempt("prop27")
     elif kind == "thm32":
         attempt("thm32")
-    try:
-        res = compressibility(spec.graph)
-    except TooLargeError:
-        res = None
+    res = _compressed(spec.graph)
     if res is not None:
-        r = n if res.is_infinite else min(res.value - 1, n)
-        attempt("turan", r=r, pattern=spec)
+        # the turan construction against F, on the largest order F cannot map into
+        order = _transitive(n) if res.is_infinite else res.witness.induced(
+            range(min(res.value - 1, n)))
+        cands.append(_blow_up(order, n))
     return cands
+
+
+@functools.lru_cache(maxsize=1)
+def _compressed(f: OrientedGraph) -> Optional[CompressibilityResult]:
+    """compressibility(f), or None past the tournament cap.  The last
+    pattern's result is kept, so a range of orders computes it once."""
+    try:
+        return compressibility(f)
+    except TooLargeError:
+        return None
 
 
 def _construction_seed(spec: PatternSpec, n: int) -> Optional[OrientedGraph]:
@@ -239,11 +252,6 @@ def _forbidden(keys: Iterable[int], lanes: tuple[int, ...], covers: dict[int, in
     return forbidden
 
 
-def _densest_free(forbidden: int, exts: tuple[int, ...]) -> int:
-    """Arcs of the densest extension outside forbidden: the first one listed."""
-    return exts[(~forbidden & forbidden + 1).bit_length() - 1].bit_count()
-
-
 def _grown(g: OrientedGraph, deletions: list[SearchPlan]) -> Optional[OrientedGraph]:
     """The F-free graph g plus one vertex joined by its densest F-free
     extension, or None when every extension completes a copy of F."""
@@ -267,30 +275,26 @@ def _run_levels(
 ) -> tuple[int, Optional[bytes], int, bool]:
     """Extend F-free class representatives from level k0 up to order n.
 
-    Returns (best value, witness digits, nodes examined, budget exceeded).
-    Ties at the final level keep the smallest canonical digit string.
+    Returns (best value, witness digits, nodes, budget exceeded); the witness
+    is the smallest canonical digit string among the graphs with best arcs.
+
+    Deleting a vertex of least degree leaves a graph at least as dense, as
+    C(n-1, 2) / C(n, 2) = (n - 2) / n (Katona, Nemetz and Simonovits), and
+    accept_child keeps a child whose new vertex has the least invariant.  So
+    a graph with best arcs descends from classes with at least
+    ceil(best C(k+1, 2) / C(n, 2)) arcs on k + 1 vertices, and the
+    extensions that give a child as many form a window at the front of the
+    list, which is ordered densest first; it drops no graph that ties best.
 
     Each parent's extensions are decided together as bitsets over their
-    positions in _extension_sets(k).exts.  Those the bound lets through form
-    a window at the front of the list (it is ordered densest first); nodes
-    counts the window whole, as if each extension in it were examined in
-    turn.  Only the survivors, which pass the degree cut, are no twin image
-    of an earlier extension and complete no copy of F, reach accept_child,
-    the enumerators' child rule; its canonical digits dedupe each level and
-    are the witness at the last.  A parent whose window the first two cuts
-    empty needs no copy search.
-    Below the last level, each of the rest = n - k - 1 later vertices joins P
-    by an F-free extension, hence by at most d arcs, d those of the densest, so
-    a child that cannot beat best with rest * (d + 1) + C(rest, 2) more arcs is cut.
-    A budget that runs out inside a window stops the run where that walk
-    would stop.
+    positions in _extension_sets(k).exts.  nodes counts those in the window
+    that the twin and degree cuts of _dropped keep, charged to the budget
+    before their copy test.  The rest reach accept_child, whose canonical
+    digits dedupe each level and give the witness at the last.
     """
-    pairs_total = n * (n - 1) // 2
     nodes = 0
     level = frontier
     for k in range(k0, n):
-        cap_parent = pairs_total - k * (k - 1) // 2
-        cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
         sets = _extension_sets(k)
         exts = sets.exts
@@ -299,24 +303,15 @@ def _run_levels(
         codes: set[bytes] = set()
         nxt: list[tuple[tuple[int, ...], int]] = []
         for masks, arcs in level:
-            if arcs + cap_parent <= best:
-                continue
-            # the extensions with at least t arcs pass the bound
-            t = best - arcs if last else best - cap_child - arcs + 1
-            window = prefix[max(t, 0)]
-            if budget is not None and window > budget - nodes:
-                live = (1 << budget - nodes) - 1  # the budget runs out at the next one
-            else:
-                live = (1 << window) - 1
+            # the extensions with at least t arcs reach the density of best
+            t = -(-best * k * (k + 1) // (n * (n - 1))) - arcs
             ins = _in_masks(masks, k)
-            live &= ~_dropped(masks, ins, sets)
+            live = (1 << prefix[min(max(t, 0), k + 1)]) - 1 & ~_dropped(masks, ins, sets)
+            nodes += live.bit_count()
+            if budget is not None and nodes > budget:
+                return best, best_digits, budget + 1, True
             if live:
-                forbidden = _forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
-                live &= ~forbidden
-                if live and not last:
-                    # cap_child let each later vertex send k + 1 arcs, not d + 1
-                    t += (n - k - 1) * (k - _densest_free(forbidden, exts))
-                    live &= (1 << prefix[min(max(t, 0), k + 1)]) - 1
+                live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
             while live:
                 low = live & -live
                 live ^= low
@@ -335,11 +330,6 @@ def _run_levels(
                         best_digits = digits
                 else:
                     nxt.append((masks_from_digits(digits, k + 1), child_arcs))
-            if last:
-                window = prefix[max(best - arcs, 0)]
-            if budget is not None and window > budget - nodes:
-                return best, best_digits, budget + 1, True
-            nodes += window
         level = nxt
     return best, best_digits, nodes, False
 
@@ -369,53 +359,52 @@ def oracle_exo(
 
     Exhaustive up to n = 7; n = 8..10 needs an explicit node budget (the run
     is exact if it finishes, else BudgetExceededError carries the certified
-    lower bound).  The budget caps the extension nodes of the search.  The
-    search starts from the densest verified construction; without a budget,
-    one that is missing or has no arc gives way to exo(n - 1)'s witness grown
-    by its densest F-free extension, if that has more arcs.  The witness is
-    the smallest canonical code among the maximum graphs the pruned search
-    retains; the value never depends on the budget.  nodes counts the
-    extensions examined at order n alone.  jobs is accepted and ignored.
+    lower bound).  Without a budget the orders 1..n are solved in turn, each
+    seeded by the better of the densest verified construction and the order
+    below's witness grown by one vertex; with one, the construction alone
+    seeds order n.  The witness is the smallest canonical code among all
+    maximum graphs, so it depends on (n, F) alone.  nodes counts the
+    extensions order n's search charges to the budget.  jobs is accepted and
+    ignored.
     """
     spec = pattern if isinstance(pattern, PatternSpec) else PatternSpec.custom(pattern)
     return _records(spec, [n], budget)[0]
 
 
 def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> list[ExtremalRecord]:
-    """oracle_exo(n, spec, budget) for each n of ns in turn.  An order whose
-    seed grows from exo(n - 1)'s witness takes the record made just before it
-    when that one is n - 1's, so an increasing range solves each order once."""
-    if spec.graph.arc_count == 0:
+    """oracle_exo(n, spec, budget) for each n of ns, from one set of deletion
+    plans.  Without a budget, the orders 1..max(ns) are solved once each, in
+    increasing order, each seeded by the one before."""
+    f = spec.graph
+    if f.arc_count == 0:
         raise EmptyPatternError("oracle needs a pattern with at least one arc")
-    records: list[ExtremalRecord] = []
+    ns = list(ns)
     for n in ns:
         check_order(n, budget)
-        below = records[-1] if records and records[-1].n == n - 1 else None
-        records.append(_record(spec, n, budget, below))
-    return records
+    deletions = _deletions(f)
+    if budget is not None:
+        return [_record(spec, n, budget, deletions, None) for n in ns]
+    records: list[ExtremalRecord] = []
+    for n in range(1, max(ns, default=0) + 1):
+        below = records[-1].witness if records else None
+        records.append(_record(spec, n, None, deletions, below))
+    return [records[n - 1] for n in ns]
 
 
-def _record(spec: PatternSpec, n: int, budget: Optional[int],
-            below: Optional[ExtremalRecord]) -> ExtremalRecord:
-    """oracle_exo at one checked order; below is exo(n - 1)'s record, if known."""
+def _record(spec: PatternSpec, n: int, budget: Optional[int], deletions: list[SearchPlan],
+            below: Optional[OrientedGraph]) -> ExtremalRecord:
+    """oracle_exo at one checked order; below, if given, is exo(n - 1)'s
+    witness, grown by one vertex into a second seed."""
     f = spec.graph
     if f.n > n:
         # the pattern cannot fit, so the complete transitive order is free
-        witness = OrientedGraph.from_arcs(
-            n, [(i, j) for i in range(n) for j in range(i + 1, n)]
-        )
+        witness = _transitive(n)
         return ExtremalRecord(n, spec, witness.arc_count, witness)
 
-    deletions = _deletions(f)
     seed = _construction_seed(spec, n)
-    if budget is None and (seed is None or seed.arc_count == 0):
-        # without a construction the bound cuts little until best is high;
-        # for ttour4 at n = 7 the grown witness is QR7, so nothing beats it
-        if below is None:
-            below = _record(spec, n - 1, None, None)
-        grown = _grown(below.witness, deletions)
-        if grown is not None and (seed is None or grown.arc_count > seed.arc_count):
-            seed = grown
+    grown = None if below is None else _grown(below, deletions)
+    if grown is not None and (seed is None or grown.arc_count > seed.arc_count):
+        seed = grown
     best = seed.arc_count if seed is not None else -1
     best_digits = None if seed is None else _min_digits(seed.out, n)
     best, best_digits, nodes, exceeded = _run_levels(

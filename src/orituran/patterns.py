@@ -135,6 +135,34 @@ def _cycle_power_arcs(vertices: Sequence[int], width: int) -> list[tuple[int, in
     ]
 
 
+def _transitive(n: int) -> OrientedGraph:
+    return OrientedGraph.from_arcs(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _blow_up(order: OrientedGraph, n: int) -> OrientedGraph:
+    """order's tournament blown up to n vertices over parts as equal as
+    possible; its first n vertices when it has at least n."""
+    r = order.n
+    if r >= n:
+        return order.induced(range(n))
+    base, extra = divmod(n, r)
+    bounds = []
+    start = 0
+    for i in range(r):
+        size = base + (1 if i < extra else 0)
+        bounds.append(range(start, start + size))
+        start += size
+    arcs = [
+        (u, v)
+        for i in range(r)
+        for j in range(r)
+        if order.has_arc(i, j)
+        for u in bounds[i]
+        for v in bounds[j]
+    ]
+    return OrientedGraph.from_arcs(n, arcs)
+
+
 # construction -> the keyword parameters it reads
 _PARAMETERS = {
     "turan": ("r", "pattern"),
@@ -196,9 +224,7 @@ def build_construction(
 
             res = compressibility(pattern.graph)
         if res is None or res.is_infinite:
-            order = OrientedGraph.from_arcs(
-                r, [(i, j) for i in range(r) for j in range(i + 1, r)]
-            )
+            order = _transitive(r)
         else:
             if r > res.witness.n:
                 raise BadParamsError(
@@ -206,24 +232,7 @@ def build_construction(
                     f"{res.value} or more vertices admits the pattern"
                 )
             order = res.witness.induced(range(r))
-        if r >= n:
-            return order.induced(range(n))
-        base, extra = divmod(n, r)
-        bounds = []
-        start = 0
-        for i in range(r):
-            size = base + (1 if i < extra else 0)
-            bounds.append(range(start, start + size))
-            start += size
-        arcs = [
-            (u, v)
-            for i in range(r)
-            for j in range(r)
-            if order.has_arc(i, j)
-            for u in bounds[i]
-            for v in bounds[j]
-        ]
-        return OrientedGraph.from_arcs(n, arcs)
+        return _blow_up(order, n)
     if name == "cyclepower":
         if q is None or q < 1:
             raise BadParamsError("cyclepower needs q >= 1")

@@ -136,10 +136,10 @@ def _naive_invariant(g, v):
 
 
 def _naive_accept(g):
-    """The minimum code of g if vertex n-1 has the largest (degree,
+    """The minimum code of g if vertex n-1 has the least (degree,
     out-degree, sum of out-neighbours' out-degrees), else None."""
     inv = [_naive_invariant(g, v) for v in range(g.n)]
-    if inv[g.n - 1] != max(inv):
+    if inv[g.n - 1] != min(inv):
         return None
     return _naive_min_code(g)
 
@@ -567,14 +567,14 @@ def test_tournament_extensions_lead_the_list():
 
 
 def _degree_cut(masks, k):
-    """Positions whose child leaves some old vertex of larger degree than the
+    """Positions whose child leaves some old vertex of smaller degree than the
     new one, read off each child's degrees."""
     ins = _in_masks(masks, k)
     degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
     cut = 0
     for p, x in enumerate(_extension_sets(k).exts):
         grown = [d + (x >> v & 1 | x >> v + k & 1) for v, d in enumerate(degs)]
-        if max(grown, default=0) > x.bit_count():
+        if min(grown) < x.bit_count():
             cut |= 1 << p
     return cut
 
@@ -618,12 +618,12 @@ def test_grow_gives_every_class_from_a_complete_level(tournament, n):
 
 
 def _naive_children(masks, k, tournament):
-    """The children, over every extension, whose new vertex has the largest
+    """The children, over every extension, whose new vertex has the least
     (degree, out-degree, sum of out-neighbours' out-degrees)."""
     for state in _state_rule(k, tournament):
         g = OrientedGraph(k + 1, _extend_by_state(masks, state))
         inv = [_naive_invariant(g, v) for v in range(k + 1)]
-        if inv[k] == max(inv):
+        if inv[k] == min(inv):
             yield g
 
 

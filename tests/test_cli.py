@@ -128,6 +128,19 @@ def test_exo_budget_exit(capsys):
     assert "lower bound" in err
 
 
+@pytest.mark.parametrize("budget, want", [(50, 4), (63, 4), (64, 0)])
+def test_exo_budget_dpath3_needs_64_nodes(capsys, budget, want):
+    # the benchmark's exo --n 8 --pattern dpath3 --budget 50 must run out
+    code, out, err = _run(
+        capsys, ["exo", "--n", "8", "--pattern", "dpath3", "--budget", str(budget), "--json"]
+    )
+    assert code == want
+    if want == 4:
+        assert "lower bound" in err
+    else:
+        assert json.loads(out)["rows"][0]["nodes"] == 64
+
+
 @pytest.mark.parametrize(
     "argv",
     [

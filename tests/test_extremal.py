@@ -254,36 +254,36 @@ def test_oracle_matches_brute_force_on_random_patterns(k, digits):
 
 def test_oracle_frozen_values():
     # (pattern, n, value, nodes, witness): nodes pins the work as well as the
-    # answer, and the witness's canonical code the tie-break among maxima
+    # answer, and the witness's canonical code the smallest among all maxima
     frozen = [
-        ("dpath3", 5, 6, 269, "5:0011011110"),
-        ("dpath3", 6, 9, 920, "6:001110111111000"),
-        ("dpath3", 7, 12, 4884, "7:000111001110111111000"),
-        ("adpath4", 5, 7, 572, "5:0012012121"),
-        ("adpath4", 6, 9, 7779, "6:000120012012121"),
-        ("star:1,2", 6, 12, 1300, "6:011111111012210"),
-        ("prop23", 6, 9, 4466, "6:001110111111000"),
-        ("p3plusarc", 6, 9, 16151, "6:000220022022221"),
-        ("thm32", 6, 12, 3308, "6:001110111111121"),
-        ("dpath4", 7, 16, 5482, "7:001111011111111011110"),
-        ("ttour3", 7, 16, 3023, "7:001122011221122011110"),
-        ("star:1,2", 7, 16, 9691, "7:001111011111111012210"),
-        ("matching2", 7, 6, 17304, "7:000002000020002002022"),
-        ("prop23", 7, 12, 21613, "7:000111001110111111000"),
-        ("adpath4", 7, 11, 90809, "7:000012000120012012121"),
-        ("p3plusarc", 7, 11, 106795, "7:000022000220022022221"),
-        ("thm32", 7, 16, 37380, "7:001111011111111012210"),
-        ("star:0,2", 7, 7, 57775, "7:000001000010001010121"),
-        ("oc4", 7, 16, 18514, "7:001111011111111011110"),
+        ("dpath3", 5, 6, 26, "5:0011011110"),
+        ("dpath3", 6, 9, 34, "6:001110111111000"),
+        ("dpath3", 7, 12, 54, "7:000111001110111111000"),
+        ("adpath4", 5, 7, 113, "5:0012012121"),
+        ("adpath4", 6, 9, 382, "6:000120012012121"),
+        ("star:1,2", 6, 12, 297, "6:001110111111121"),
+        ("prop23", 6, 9, 214, "6:000220022022221"),
+        ("p3plusarc", 6, 9, 1327, "6:000110022022221"),
+        ("thm32", 6, 12, 627, "6:001110111111121"),
+        ("dpath4", 7, 16, 172, "7:001111011111111011110"),
+        ("ttour3", 7, 16, 110, "7:001122011221122011110"),
+        ("star:1,2", 7, 16, 573, "7:001111011111111001121"),
+        ("matching2", 7, 6, 188, "7:000001000010001001011"),
+        ("prop23", 7, 12, 234, "7:000111001110111111000"),
+        ("adpath4", 7, 11, 942, "7:000012000120012012121"),
+        ("p3plusarc", 7, 11, 2085, "7:000011000220022022221"),
+        ("thm32", 7, 16, 1499, "7:001111011111111002121"),
+        ("star:0,2", 7, 7, 794, "7:000001000010001001121"),
+        ("oc4", 7, 16, 938, "7:001111011111111011110"),
         # no construction, or one with no arc: the order below, grown by a
-        # vertex, is the seed, and nodes count this order's search alone
-        ("star:0,3", 4, 6, 0, "4:112111"),
-        ("adpath3", 7, 7, 57775, "7:000002000020002002121"),
+        # vertex, is the better seed; nodes count this order's search alone
+        ("star:0,3", 4, 6, 22, "4:112111"),
+        ("adpath3", 7, 7, 794, "7:000002000020002002121"),
         ("ttour4", 6, 15, 326, "6:111221211112211"),
-        ("ttour4", 7, 21, 0, "7:111222121121121211121"),
-        ("ttour5", 7, 21, 0, "7:111112111211211111111"),
-        ("adpath5", 7, 15, 185220, "7:000022011221122101112"),
-        ("adpath6", 7, 17, 53925, "7:001122011221122101112"),
+        ("ttour4", 7, 21, 230, "7:111222121121121211121"),
+        ("ttour5", 7, 21, 2678, "7:111111111221211112211"),
+        ("adpath5", 7, 15, 10470, "7:000022011221122011111"),
+        ("adpath6", 7, 17, 5435, "7:001122011221122011111"),
     ]
     for token, n, want, nodes, witness in frozen:
         rec = oracle_exo(n, PatternSpec.parse(token))
@@ -354,6 +354,33 @@ def test_three_arc_table_at_seven():
         assert rec.witness.arc_count == rec.value, code
         assert not _naive_contains(rec.witness, f), code
         assert THREE_ARC_EXO[canonical_code(f.reverse()).serialize()][5] == row[5], code
+
+
+def test_witness_is_the_smallest_code_among_all_maxima(oriented_graphs_6):
+    # levels are sorted by canonical digits, so the first F-free class of the
+    # largest arc count with one has the smallest code among all maxima.  A
+    # free graph keeps a free subgraph with one arc fewer, so exo(n, F) is
+    # the last arc count before the first with no free class.
+    classes = {5: list(enumerate_oriented_graphs(5)), 6: oriented_graphs_6}
+    rng = random.Random(7)
+    patterns = ([PatternSpec.parse(token).graph for token in _SMALL_NAMED]
+                + [CanonicalCode.parse(code).to_graph() for code in THREE_ARC_EXO]
+                + [_random_pattern(rng, 2, 5) for _ in range(60)])
+    for f in patterns:
+        plan = SearchPlan(f, injective=True)
+        for n, graphs in classes.items():
+            by_arcs = {}
+            for g in graphs:
+                by_arcs.setdefault(g.arc_count, []).append(g)
+            want = None
+            for arcs in sorted(by_arcs):
+                free = next((g for g in by_arcs[arcs] if plan.search(g.out, g.in_masks) is None),
+                            None)
+                if free is None:
+                    break
+                want = free
+            rec = oracle_exo(n, PatternSpec.custom(f))
+            assert (rec.value, rec.witness) == (want.arc_count, want), (sorted(f.arcs()), n)
 
 
 # Every named token with 1-3 arcs (none has an isolated vertex) and its
@@ -487,41 +514,42 @@ def test_oracle_matches_brute_force_at_five_on_random_patterns():
 
 def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, stop):
     """The level loop _run_levels replaced: each extension is examined in
-    turn, counted, charged to the budget and tested against the copy keys.
-    Below the last level a child is skipped when even later vertices that
-    each send the densest key-free extension's d arcs to the parent and one
-    to the new vertex cannot beat best."""
-    pairs_total = n * (n - 1) // 2
+    turn.  A parent's extensions are counted and charged to the budget
+    before any copy test when the child has best's density at least, its new
+    vertex has the least degree, and they put no pair of false twins' states
+    out of order."""
     nodes = 0
     level = frontier
     for k in range(k0, stop):
-        cap_parent = pairs_total - k * (k - 1) // 2
-        cap_child = pairs_total - (k + 1) * k // 2
         last = k + 1 == n
-        rest = n - k - 1
         seen = set()
         nxt = []
         for masks, arcs in level:
-            if arcs + cap_parent <= best:
-                continue
-            keys = None
+            ins = _in_masks(masks, k)
+            degs = [(o | i).bit_count() for o, i in zip(masks, ins)]
+            twins = [(u, w) for u, w in itertools.combinations(range(k), 2)
+                     if (masks[u], ins[u]) == (masks[w], ins[w])]
+            survivors = []
             for x in _extension_sets(k).exts:
-                child_arcs = arcs + x.bit_count()
-                if last:
-                    if child_arcs < best:
-                        break
-                elif child_arcs + cap_child <= best:
+                # (arcs + |x|) / C(k+1, 2) >= best / C(n, 2)
+                if (arcs + x.bit_count()) * n * (n - 1) < best * k * (k + 1):
                     break
-                nodes += 1
-                if budget is not None and nodes > budget:
-                    return best, best_digits, nodes, True, []
-                if keys is None:
-                    keys = extremal._copy_keys(masks, _in_masks(masks, k), k, deletions)
-                    d = max((y.bit_count() for y in _extension_sets(k).exts
-                             if not any(p & y == p for p in keys)), default=-1)
-                if any(p & x == p for p in keys):
+                # 1: v -> x, 2: x -> v
+                state = [1 if x >> v + k & 1 else 2 if x >> v & 1 else 0 for v in range(k)]
+                if min(d + (s > 0) for d, s in zip(degs, state)) < x.bit_count():
                     continue
-                if not last and child_arcs + rest * (d + 1) + rest * (rest - 1) // 2 <= best:
+                if any(state[u] > state[w] for u, w in twins):
+                    continue
+                survivors.append(x)
+            nodes += len(survivors)
+            if budget is not None and nodes > budget:
+                return best, best_digits, budget + 1, True, []
+            keys = extremal._copy_keys(masks, ins, k, deletions)
+            for x in survivors:
+                child_arcs = arcs + x.bit_count()
+                if last and child_arcs < best:
+                    break
+                if any(p & x == p for p in keys):
                     continue
                 digits = accept_child(extend_masks(masks, x), k + 1)
                 if digits is None or digits in seen:
@@ -564,9 +592,9 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
         assert want[3] == (budget < full[2])
 
 
-def test_densest_free_extension_is_exact():
-    # d, the arcs of P's densest F-free extension, over every one of the 3^k
-    # ways to join a new vertex, each tested by a plain copy search
+def test_a_parent_with_no_free_extension_has_no_child():
+    # parents whose every one of the 3^k ways to join a new vertex completes a
+    # copy of F, each tested by a plain copy search
     rng = random.Random(16)
     cases = empty = 0
     while cases < 150:
@@ -578,25 +606,19 @@ def test_densest_free_extension_is_exact():
         if not is_free(parent, f):
             continue
         cases += 1
-        free = [
-            x.bit_count()
-            for states in itertools.product((0, 1, 2), repeat=k)
-            for x in [sum(1 << u + (k if s == 1 else 0) for u, s in enumerate(states) if s)]
-            if is_free(OrientedGraph(k + 1, extend_masks(parent.out, x)), f)
-        ]
+        if any(is_free(OrientedGraph(k + 1, extend_masks(parent.out, x)), f)
+               for x in _extension_sets(k).exts):
+            continue
+        empty += 1
         deletions = extremal._deletions(f)
         sets = _extension_sets(k)
         keys = extremal._copy_keys(parent.out, _in_masks(parent.out, k), k, deletions)
         forbidden = extremal._forbidden(keys, sets.lanes, {})
-        if free:
-            assert extremal._densest_free(forbidden, sets.exts) == max(free), (arcs, sorted(f.arcs()))
-        else:
-            empty += 1
-            assert forbidden & (1 << len(sets.exts)) - 1 == (1 << len(sets.exts)) - 1
-            # no child, at a last level that would keep every child
-            best, digits = extremal._run_levels(k + 1, deletions, [(parent.out, len(arcs))], k,
-                                                -1, None, None)[:2]
-            assert (best, digits) == (-1, None)
+        assert forbidden & (1 << len(sets.exts)) - 1 == (1 << len(sets.exts)) - 1
+        # no child, at a last level that would keep every child
+        best, digits = extremal._run_levels(k + 1, deletions, [(parent.out, len(arcs))], k,
+                                            -1, None, None)[:2]
+        assert (best, digits) == (-1, None)
     assert empty  # the seed reaches parents with no free extension
 
 
@@ -692,8 +714,7 @@ def test_oracle_jobs_deterministic():
 
 @pytest.mark.parametrize("token, n", [("adpath3", 4), ("adpath5", 6)])
 def test_oracle_witness_is_maximum_and_free_for_every_jobs(token, n):
-    # best rises during the last level here, so the witness depends on how
-    # the search runs; every jobs runs the same one
+    # best rises during the last level here; every jobs runs the same search
     spec = PatternSpec.parse(token)
     records = [oracle_exo(n, spec, jobs=jobs) for jobs in (1, 2, 3)]
     _assert_no_children()

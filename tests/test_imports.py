@@ -229,7 +229,7 @@ def test_one_child_rule():
                 for owner, _ in _readers(_module_tree(path.stem), {"_search"})
                 if (path.stem, owner) not in allowed]
     assert searches == []
-    assert list(_readers(_module_tree("extremal"), {"_search", "_top_invariant"})) == []
+    assert list(_readers(_module_tree("extremal"), {"_search", "_least_invariant"})) == []
 
 
 def test_cli_imports_search_modules_in_its_handlers():
