@@ -32,6 +32,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .canon import (
     MAX_CODE_VERTICES,
+    ExtensionSets,
     _dropped,
     _extension_sets,
     _last_pinned_digits,
@@ -252,16 +253,36 @@ def _forbidden(keys: Iterable[int], lanes: tuple[int, ...], covers: dict[int, in
     return forbidden
 
 
-def _grown(g: OrientedGraph, deletions: list[SearchPlan]) -> Optional[OrientedGraph]:
+def _grown(g: OrientedGraph, deletions: list[SearchPlan], parents: dict) -> Optional[OrientedGraph]:
     """The F-free graph g plus one vertex joined by its densest F-free
-    extension, or None when every extension completes a copy of F."""
+    extension, or None when every extension completes a copy of F.  g's
+    entry in parents is kept for the next order, which meets g as a parent."""
     k = g.n
     sets = _extension_sets(k)
-    forbidden = _forbidden(_copy_keys(g.out, _in_masks(g.out, k), k, deletions), sets.lanes, {})
+    forbidden = _forbidden_of(_parent(parents, g.out, sets), g.out, deletions, sets.lanes, {})
     free = ~forbidden & (1 << len(sets.exts)) - 1
     if not free:
         return None
     return OrientedGraph(k + 1, extend_masks(g.out, sets.exts[(free & -free).bit_length() - 1]))
+
+
+def _parent(parents: dict, masks: tuple[int, ...], sets: ExtensionSets) -> list:
+    """The entry in parents for out-masks masks: [in-masks, _dropped cut,
+    forbidden positions or None until needed], each a function of masks and
+    F alone, so the orders of one oracle call share it."""
+    entry = parents.get(masks)
+    if entry is None:
+        ins = _in_masks(masks, len(masks))
+        entry = parents[masks] = [ins, _dropped(masks, ins, sets), None]
+    return entry
+
+
+def _forbidden_of(entry: list, masks: tuple[int, ...], deletions: list[SearchPlan],
+                  lanes: tuple[int, ...], covers: dict[int, int]) -> int:
+    """The forbidden positions of a _parent entry, searched on first use."""
+    if entry[2] is None:
+        entry[2] = _forbidden(_copy_keys(masks, entry[0], len(masks), deletions), lanes, covers)
+    return entry[2]
 
 
 def _run_levels(
@@ -272,6 +293,7 @@ def _run_levels(
     best: int,
     best_digits: Optional[bytes],
     budget: Optional[int],
+    parents: dict,
 ) -> tuple[int, Optional[bytes], int, bool]:
     """Extend F-free class representatives from level k0 up to order n.
 
@@ -290,7 +312,8 @@ def _run_levels(
     positions in _extension_sets(k).exts.  nodes counts those in the window
     that the twin and degree cuts of _dropped keep, charged to the budget
     before their copy test.  The rest reach accept_child, whose canonical
-    digits dedupe each level and give the witness at the last.
+    digits dedupe each level and give the witness at the last.  The cuts and
+    the copy test come from the parent's _parent entry, once per oracle call.
     """
     nodes = 0
     level = frontier
@@ -305,13 +328,13 @@ def _run_levels(
         for masks, arcs in level:
             # the extensions with at least t arcs reach the density of best
             t = -(-best * k * (k + 1) // (n * (n - 1))) - arcs
-            ins = _in_masks(masks, k)
-            live = (1 << prefix[min(max(t, 0), k + 1)]) - 1 & ~_dropped(masks, ins, sets)
+            entry = _parent(parents, masks, sets)
+            live = (1 << prefix[min(max(t, 0), k + 1)]) - 1 & ~entry[1]
             nodes += live.bit_count()
             if budget is not None and nodes > budget:
                 return best, best_digits, budget + 1, True
             if live:
-                live &= ~_forbidden(_copy_keys(masks, ins, k, deletions), sets.lanes, covers)
+                live &= ~_forbidden_of(entry, masks, deletions, sets.lanes, covers)
             while live:
                 low = live & -live
                 live ^= low
@@ -374,7 +397,9 @@ def oracle_exo(
 def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> list[ExtremalRecord]:
     """oracle_exo(n, spec, budget) for each n of ns, from one set of deletion
     plans.  Without a budget, the orders 1..max(ns) are solved once each, in
-    increasing order, each seeded by the one before."""
+    increasing order, each seeded by the one before.  One dict of _parent
+    entries, keyed by out-masks, lasts the call, so a parent class that
+    several orders meet has its cuts and copy test computed once."""
     f = spec.graph
     if f.arc_count == 0:
         raise EmptyPatternError("oracle needs a pattern with at least one arc")
@@ -382,17 +407,18 @@ def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> lis
     for n in ns:
         check_order(n, budget)
     deletions = _deletions(f)
+    parents: dict = {}
     if budget is not None:
-        return [_record(spec, n, budget, deletions, None) for n in ns]
+        return [_record(spec, n, budget, deletions, None, parents) for n in ns]
     records: list[ExtremalRecord] = []
     for n in range(1, max(ns, default=0) + 1):
         below = records[-1].witness if records else None
-        records.append(_record(spec, n, None, deletions, below))
+        records.append(_record(spec, n, None, deletions, below, parents))
     return [records[n - 1] for n in ns]
 
 
 def _record(spec: PatternSpec, n: int, budget: Optional[int], deletions: list[SearchPlan],
-            below: Optional[OrientedGraph]) -> ExtremalRecord:
+            below: Optional[OrientedGraph], parents: dict) -> ExtremalRecord:
     """oracle_exo at one checked order; below, if given, is exo(n - 1)'s
     witness, grown by one vertex into a second seed."""
     f = spec.graph
@@ -402,13 +428,13 @@ def _record(spec: PatternSpec, n: int, budget: Optional[int], deletions: list[Se
         return ExtremalRecord(n, spec, witness.arc_count, witness)
 
     seed = _construction_seed(spec, n)
-    grown = None if below is None else _grown(below, deletions)
+    grown = None if below is None else _grown(below, deletions, parents)
     if grown is not None and (seed is None or grown.arc_count > seed.arc_count):
         seed = grown
     best = seed.arc_count if seed is not None else -1
     best_digits = None if seed is None else _min_digits(seed.out, n)
     best, best_digits, nodes, exceeded = _run_levels(
-        n, deletions, [((0,), 0)], 1, best, best_digits, budget
+        n, deletions, [((0,), 0)], 1, best, best_digits, budget, parents
     )
 
     if best_digits is not None:

@@ -245,6 +245,10 @@ def build_construction(
         if not 0 <= d <= n:
             raise BadParamsError(f"part size d={d} out of range for n={n}")
         c = n - d
+        for part, size, param, value in (("C", c, "p", p), ("D", d, "q", q)):
+            if value > 1 and size < 2 * value - 1:
+                raise BadParamsError(f"starpartition part {part} has {size} vertices, but "
+                                     f"{param}={value} needs at least {2 * value - 1}")
         part_c = range(0, c)
         part_d = range(c, n)
         arcs = _cycle_power_arcs(part_c, p - 1) + _cycle_power_arcs(part_d, q - 1)

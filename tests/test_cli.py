@@ -414,6 +414,14 @@ def test_construct_bad_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p, q, part, need", [("3", "3", "C has 2 vertices, but p=3", 5),
+                                              ("1", "3", "D has 4 vertices, but q=3", 5)])
+def test_construct_starpartition_names_its_small_part(capsys, p, q, part, need):
+    code, out, err = _run(capsys, ["construct", "starpartition", "--n", "5", "--p", p, "--q", q])
+    assert code == 2 and out == ""
+    assert err == f"error: starpartition part {part} needs at least {need}\n"
+
+
 def test_construct_cap(capsys):
     code, _, _ = _run(capsys, ["construct", "thm32", "--n", "100"])
     assert code == 3

@@ -571,7 +571,7 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
     [("matching2", 6), ("prop23", 6), ("adpath4", 6), ("star:0,2", 6), ("dpath3", 5),
      ("ttour4", 6), ("adpath5", 6), ("oc4", 5)],
 )
-def test_run_levels_matches_the_per_extension_loop(token, n):
+def test_run_levels_matches_the_per_extension_loop(token, n, monkeypatch):
     spec = PatternSpec.parse(token)
     deletions = extremal._deletions(spec.graph)
     seed = extremal._construction_seed(spec, n)
@@ -580,7 +580,16 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
     start = (n, deletions, [((0,), 0)], 1, best, digits)
     full = _reference_levels(*start, None, n)
     before_last = _reference_levels(*start, None, n - 1)
-    assert extremal._run_levels(*start, None) == full[:4]
+    # the parent entries that orders 1..n-1 of one oracle call leave behind
+    filled = []
+    run_levels = extremal._run_levels
+    with monkeypatch.context() as m:
+        m.setattr(extremal, "_run_levels", lambda *args: filled.append(args[-1]) or run_levels(*args))
+        extremal._records(spec, [n - 1], None)
+    parents = filled[-1]
+    assert parents and all(d is parents for d in filled)
+    assert extremal._run_levels(*start, None, {}) == full[:4]
+    assert extremal._run_levels(*start, None, parents) == full[:4]
     # budgets that run out early, inside the last level's windows, or never
     rng = random.Random(n)
     cut = before_last[2]
@@ -588,8 +597,41 @@ def test_run_levels_matches_the_per_extension_loop(token, n):
     budgets += [rng.randrange(full[2] + 1) for _ in range(4)]
     for budget in budgets:
         want = _reference_levels(*start, budget, n)
-        assert extremal._run_levels(*start, budget) == want[:4], budget
+        assert extremal._run_levels(*start, budget, {}) == want[:4], budget
+        assert extremal._run_levels(*start, budget, parents) == want[:4], budget
         assert want[3] == (budget < full[2])
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The parent masks of every copy search, in order."""
+    masks_seen = []
+    copy_keys = extremal._copy_keys
+    monkeypatch.setattr(extremal, "_copy_keys",
+                        lambda masks, *rest: masks_seen.append(masks) or copy_keys(masks, *rest))
+    return masks_seen
+
+
+@pytest.mark.parametrize(
+    "token", ["dpath4", "ttour3", "star:1,2", "matching2", "prop23", "ttour4", "adpath5"])
+def test_one_call_searches_each_parent_once(token, searched, capsys):
+    # each order of one call meets the classes below it again as parents;
+    # their copy search runs once, whether the call solves one order or a range
+    oracle_exo(7, PatternSpec.parse(token))
+    assert searched and len(searched) == len(set(searched))
+    searched.clear()
+    assert main(["exo", "--n", "3..7", "--pattern", token, "--json"]) == 0
+    capsys.readouterr()
+    assert searched and len(searched) == len(set(searched))
+
+
+def test_the_bench_oracle_tasks_search_each_parent_once(searched):
+    # the benchmark's oracle task list: five patterns and prop23 again, at
+    # n = 7, one call each; without the shared parent entries they make 270
+    # copy searches
+    for token in ["dpath4", "ttour3", "star:1,2", "matching2", "prop23", "prop23"]:
+        oracle_exo(7, PatternSpec.parse(token))
+    assert len(searched) <= 122
 
 
 def test_a_parent_with_no_free_extension_has_no_child():
@@ -617,7 +659,7 @@ def test_a_parent_with_no_free_extension_has_no_child():
         assert forbidden & (1 << len(sets.exts)) - 1 == (1 << len(sets.exts)) - 1
         # no child, at a last level that would keep every child
         best, digits = extremal._run_levels(k + 1, deletions, [(parent.out, len(arcs))], k,
-                                            -1, None, None)[:2]
+                                            -1, None, None, {})[:2]
         assert (best, digits) == (-1, None)
     assert empty  # the seed reaches parents with no free extension
 
