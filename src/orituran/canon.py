@@ -17,15 +17,16 @@ only the ones whose row k is smallest branch.  Undetermined rows are zeros,
 and zeros minorize every completion, so a partial code that is already >= the
 best known full code is cut.  Once every cell is a singleton the rest of the
 labelling is forced, and its rows are written out without branching.  The
-search is seeded with the identity labelling's digits and cuts on equality,
-which keeps symmetric inputs cheap.  Of winners that are false twins (equal
-out- and in-masks, hence no arc between them) only the first branches: the
-swap of two such vertices is an automorphism fixing everything already
-placed, so their subtrees hold the same codes.  Stars, isolated vertices and
-complete bipartite orientations are mostly twins, and a class of m twins
-that branched m ways at a row now branches once.
-To tell the vertex orbits of a pattern apart, the search can pin one vertex
-to the last position: it stays out of the cells and its digit ends every row.
+search starts from an ordered partition and finds the minimum over the
+labellings that list the cells in order; a vertex alone in the last cell is
+placed last, which tells the vertex orbits of a pattern apart.  It is seeded
+with the labelling that lists each cell in vertex order and cuts on
+equality, which keeps symmetric inputs cheap.  Of winners that are false
+twins (equal out- and in-masks, hence no arc between them) only the first
+branches: the swap of two such vertices is an automorphism fixing every
+other vertex, so their subtrees hold the same codes.  Stars, isolated
+vertices and complete bipartite orientations are mostly twins, and a class
+of m twins that branched m ways at a row now branches once.
 
 Enumeration grows complete levels one vertex at a time (_grow).  Each way
 to join a new vertex x to a k-vertex class is one int x_out | x_in << k,
@@ -54,47 +55,25 @@ MAX_ENUM_VERTICES = 7
 _RUNS = tuple(tuple(bytes([d]) * c for c in range(MAX_CODE_VERTICES)) for d in range(3))
 
 
-def _identity_digits(out: tuple[int, ...], n: int) -> bytearray:
-    d = bytearray(n * (n - 1) // 2)
-    p = 0
-    for i in range(n):
-        oi = out[i]
-        for j in range(i + 1, n):
-            if oi >> j & 1:
-                d[p] = 1
-            elif out[j] >> i & 1:
-                d[p] = 2
-            p += 1
-    return d
-
-
-def _search(
-    out: tuple[int, ...],
-    ins: Sequence[int],
-    n: int,
-    best: bytearray,
-    pin: Optional[int],
-) -> None:
-    """Lower best in place to the minimum code.
-
-    ins holds the in-masks of out.  With pin set, only labellings that put
-    vertex pin last are searched.
-    """
-    pin_bit = 0 if pin is None else 1 << pin
+def _search(out: Sequence[int], ins: Sequence[int], n: int, cells: Sequence[int]) -> bytes:
+    """The minimum code over the labellings that list the vertices cell by
+    cell, cells being an ordered partition of range(n) as bitmasks; ins
+    holds the in-masks of out."""
     zeros, ones, twos = _RUNS
-    cur = bytearray(len(best))
+
+    def digits(order: list[int]) -> bytearray:
+        # the code of the subgraph on order, labelled in that order
+        row = bytearray()
+        for i, v in enumerate(order):
+            ov, iv = out[v], ins[v]
+            for w in order[i + 1:]:
+                row.append((ov >> w & 1) | (iv >> w & 1) << 1)
+        return row
 
     def dfs(cells: list[int], off: int, left: int) -> None:
         if len(cells) == left:
             # one cell per unplaced vertex: the rest of the labelling is forced
-            order = [c.bit_length() - 1 for c in cells]
-            tail = bytearray()
-            for i, v in enumerate(order):
-                ov, iv = out[v], ins[v]
-                for w in order[i + 1:]:
-                    tail.append((ov >> w & 1) | (iv >> w & 1) << 1)
-                if pin_bit:
-                    tail.append((ov & pin_bit != 0) | (iv & pin_bit != 0) << 1)
+            tail = digits([c.bit_length() - 1 for c in cells])
             cur[off:] = tail
             if cur < best:
                 best[:] = cur
@@ -115,8 +94,6 @@ def _search(
             key = (c & nb).bit_count() << 4 | (c & iv).bit_count()
             for c in rest:
                 key = key << 8 | (c & nb).bit_count() << 4 | (c & iv).bit_count()
-            if pin_bit:
-                key = key << 2 | (2 if iv & pin_bit else 1 if nb & pin_bit else 0)
             if least < 0 or key < least:
                 least = key
                 winners = [v]
@@ -124,8 +101,8 @@ def _search(
                 winners.append(v)
         # only the winners branch; each splits every cell by its relation to v.
         # A false twin of an earlier winner (same out- and in-mask, so no arc
-        # joins them) is skipped: swapping the two fixes every placed vertex
-        # and the pin, so its subtree gives the same codes.
+        # joins them) is skipped: swapping the two fixes every other vertex
+        # and so every cell, and its subtree gives the same codes.
         branches = []
         shapes = set()
         for v in winners:
@@ -147,8 +124,6 @@ def _search(
                     split.append(o)
                 if t:
                     split.append(t)
-            if pin_bit:
-                runs.append(b"\1" if ov & pin_bit else (b"\2" if iv & pin_bit else b"\0"))
             branches.append(split)
         row = b"".join(runs)
         end = off + len(row)
@@ -160,21 +135,20 @@ def _search(
             dfs(split, end, left - 1)
         cur[off:end] = bytes(len(row))
 
-    start = ((1 << n) - 1) & ~pin_bit
-    dfs([start] if start else [], 0, start.bit_count())
-
-
-def _min_digits(out: tuple[int, ...], n: int) -> bytes:
-    best = _identity_digits(out, n)
-    _search(out, _in_masks(out, n), n, best, None)
+    cells = [c for c in cells if c]
+    best = digits([v for c in cells for v in range(n) if c >> v & 1])
+    cur = bytearray(len(best))
+    dfs(cells, 0, n)
     return bytes(best)
 
 
-def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int) -> bytearray:
-    """The minimum code over the labellings that put vertex n-1 last."""
-    best = _identity_digits(out, n)
-    _search(out, ins, n, best, n - 1)
-    return best
+def _min_digits(out: tuple[int, ...], n: int) -> bytes:
+    return _search(out, _in_masks(out, n), n, [(1 << n) - 1])
+
+
+def _last_pinned_digits(out: Sequence[int], ins: Sequence[int], n: int, u: int) -> bytes:
+    """The minimum code over the labellings that put vertex u last."""
+    return _search(out, ins, n, [(1 << n) - 1 ^ 1 << u, 1 << u])
 
 
 def _least_invariant(out: Sequence[int], ins: Sequence[int], n: int) -> bool:
@@ -204,9 +178,7 @@ def accept_child(out: tuple[int, ...], n: int) -> Optional[bytes]:
     ins = _in_masks(out, n)
     if not _least_invariant(out, ins, n):
         return None
-    best = _identity_digits(out, n)
-    _search(out, ins, n, best, None)
-    return bytes(best)
+    return _search(out, ins, n, [(1 << n) - 1])
 
 
 def masks_from_digits(digits: bytes, n: int) -> tuple[int, ...]:

@@ -203,12 +203,11 @@ def _deletions(f: OrientedGraph) -> list[SearchPlan]:
     plans = []
     orbits: set[bytes] = set()
     for u in range(f.n):
-        rest = [v for v in range(f.n) if v != u]
-        last = f.induced(rest + [u])
-        code = bytes(_last_pinned_digits(last.out, last.in_masks, f.n))
+        code = _last_pinned_digits(f.out, f.in_masks, f.n, u)
         if code in orbits:
             continue
         orbits.add(code)
+        rest = [v for v in range(f.n) if v != u]
         marks = {i: 1 + (f.in_masks[u] >> v & 1) for i, v in enumerate(rest)
                  if (f.out[u] | f.in_masks[u]) >> v & 1}
         plans.append(SearchPlan(f.induced(rest), injective=True, marks=marks))
@@ -406,7 +405,9 @@ def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> lis
     ns = list(ns)
     for n in ns:
         check_order(n, budget)
-    deletions = _deletions(f)
+    # a pattern larger than every order fits in none, and its plans would
+    # need codes past MAX_CODE_VERTICES
+    deletions = _deletions(f) if f.n <= max(ns, default=0) else []
     parents: dict = {}
     if budget is not None:
         return [_record(spec, n, budget, deletions, None, parents) for n in ns]

@@ -25,7 +25,9 @@ from orituran.canon import (
     _dropped,
     _extension_sets,
     _grow,
+    _last_pinned_digits,
     _min_digits,
+    _search,
     _twin_images,
     accept_child,
     canonical_code,
@@ -228,6 +230,39 @@ def test_twin_pruned_search_matches_brute_force_on_twin_rich_graphs():
         if g.n <= 6:
             got = accept_child(g.out, g.n)
             assert (None if got is None else "".join(map(str, got))) == _naive_accept(g)
+
+
+def _cell_by_cell_min_code(g, cells):
+    """The least row-major code over the labellings that list cells in order."""
+    return min(_perm_code(g, [v for part in parts for v in part])
+               for parts in itertools.product(*map(itertools.permutations, cells)))
+
+
+def test_search_from_an_ordered_partition_matches_brute_force():
+    rng = random.Random(33)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        g = _random_graph(rng, n, rng.choice([0.2, 0.5, 0.9, 1.0]))
+        if rng.random() < 0.3:
+            g = rng.choice(_TWIN_RICH[max(n, 2)])
+        k = rng.randint(1, 3)
+        part = [rng.randrange(k) for _ in range(g.n)]
+        cells = [[v for v in range(g.n) if part[v] == i] for i in range(k)]
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        got = _search(g.out, g.in_masks, g.n, masks)
+        assert "".join(map(str, got)) == _cell_by_cell_min_code(g, cells), (g.out, cells)
+
+
+def test_pinned_codes_put_the_vertex_last():
+    rng = random.Random(34)
+    graphs = [_random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6, 1.0]))
+              for _ in range(30)]
+    graphs += [rng.choice(_TWIN_RICH[n]) for n in (5, 6, 7) for _ in range(2)]
+    for g in graphs:
+        for u in range(g.n):
+            rest = [v for v in range(g.n) if v != u]
+            got = _last_pinned_digits(g.out, g.in_masks, g.n, u)
+            assert "".join(map(str, got)) == _cell_by_cell_min_code(g, [rest, [u]]), (g.out, u)
 
 
 @settings(max_examples=150)

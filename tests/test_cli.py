@@ -166,6 +166,42 @@ def test_exo_cap_exit(capsys):
     assert code == 3
 
 
+_PATH12 = "12\n" + "".join(f"{i} {i + 1}\n" for i in range(11))
+
+
+@pytest.mark.parametrize("pattern", [["--pattern", "dpath12"], ["--pattern-file", "p12.og"]])
+def test_exo_on_a_pattern_past_the_code_cap_is_transitive(tmp_path, monkeypatch, capsys,
+                                                          pattern):
+    # a pattern with more vertices than the order fits in no graph of it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p12.og").write_text(_PATH12)
+    code, out, _ = _run(capsys, ["exo", *pattern, "--n", "3..5", "--json"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["value"], r["nodes"]) for r in rows] == [(3, 0), (6, 0), (10, 0)]
+    assert [decode(r["witness"]).arc_count for r in rows] == [3, 6, 10]
+
+
+@pytest.mark.parametrize("argv, want, last", [
+    (["exo", "--pattern", "matching6", "--n", "7", "--verify-formula"], 0,
+     ["7", "21", "21", "MATCH", "all", "n"]),
+    (["exo", "--pattern", "star:0,11", "--n", "9", "--budget", "30"], 0, ["9", "36", "0"]),
+    (["exo", "--pattern", "adpath12", "--n", "5", "--verify-formula"], 2, None),
+    (["compress", "p12.og"], 3, None),
+    (["check-hypothesis", "all-tournaments", "--k", "7", "--pattern", "dpath12"], 1, None),
+    (["construct", "turan", "--n", "12", "--r", "3", "--pattern", "dpath12"], 3, None),
+])
+def test_patterns_past_the_code_cap_end_in_an_exit_code(tmp_path, monkeypatch, capsys,
+                                                        argv, want, last):
+    # last: the words of the last stdout line, where the value is checked
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p12.og").write_text(_PATH12)
+    code, out, _ = _run(capsys, argv)
+    assert code == want
+    if last is not None:
+        assert out.splitlines()[-1].split() == last
+
+
 @pytest.mark.parametrize("extra", [[], ["--verify-formula"]])
 def test_exo_huge_range_is_refused_at_once(capsys, extra):
     argv = ["exo", "--pattern", "dpath3", "--n", "1..1000000000", *extra]
