@@ -8,11 +8,11 @@ Garnick, Kwong and Lazebnik's extremal graphs without three- or four-cycles.
 Deleting a vertex of least degree never lowers the density, so a density
 window cuts every level, and since it cuts only what cannot reach the best
 arc count, the witness is the smallest canonical code among all maxima.  The
-search is seeded with the better of a verified F-free construction and
-exo(n - 1)'s witness grown by one vertex (Erdos & Moser's QR7 for TT4 at
-n = 7).  A child P + x of an F-free parent P contains F exactly when P holds
-a copy phi of some F - u with phi(N+(u)) inside x's out-set and phi(N-(u))
-inside its in-set (one-vertex extension by feasible neighbourhoods, McKay &
+orders 1..n are taken in turn, each seeded with the witness of the order
+below grown by one vertex (Erdos & Moser's QR7 for TT4 at n = 7).  A child
+P + x of an F-free parent P contains F exactly when P holds a copy phi of
+some F - u with phi(N+(u)) inside x's out-set and phi(N-(u)) inside its
+in-set (one-vertex extension by feasible neighbourhoods, McKay &
 Radziszowski, R(4,5) = 25); u ranges over one vertex per orbit of Aut(F),
 since an orbit's vertices give the same pairs.  Each parent decides its 3^k
 extensions at once, as bitsets over their positions in the extension list:
@@ -27,7 +27,6 @@ enumerators' rule (canon.accept_child).
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, NamedTuple, Optional
 
 from .canon import (
@@ -54,10 +53,10 @@ from .graphs import (
     TooLargeError,
     _in_masks,
 )
-from .homomorphism import CompressibilityResult, SearchPlan, compressibility
+from .homomorphism import SearchPlan, compressibility
 # these names live in patterns, which loads no search module; the README and
 # the benchmark import them from here too
-from .patterns import PatternSpec, _blow_up, _transitive, build_construction, turan_edges
+from .patterns import PatternSpec, _transitive, build_construction, turan_edges
 
 MAX_EXACT_VERTICES = 7
 
@@ -114,70 +113,6 @@ def formula_value(spec: PatternSpec, n: int) -> tuple[int, str]:
     if kind == "thm32":
         return n * n // 4 + (n + 1) // 2, VALID_LARGE
     raise NoFormulaError(f"no closed form for pattern kind {kind!r}")
-
-
-def _seed_candidates(spec: PatternSpec, n: int) -> list[OrientedGraph]:
-    cands: list[OrientedGraph] = []
-
-    def attempt(name: str, **kw) -> None:
-        try:
-            cands.append(build_construction(name, n, **kw))
-        except (BadParamsError, TooLargeError):
-            pass
-
-    kind = spec.kind
-    if kind == "star":
-        p, q = spec.params
-        if p > q:
-            mirror = PatternSpec.parse(f"star:{q},{p}")
-            return [g.reverse() for g in _seed_candidates(mirror, n)]
-        if p == 0:
-            attempt("cyclepower", q=q)
-        else:
-            attempt("starpartition", p=p, q=q)
-    elif kind == "matching":
-        k = spec.params[0]
-        m = min(n, 2 * k - 1)
-        clique = [(i, j) for i in range(m) for j in range(i + 1, m)]
-        cands.append(OrientedGraph.from_arcs(n, clique))
-        if n >= k:
-            hubs = k - 1
-            arcs = [(i, j) for i in range(hubs) for j in range(i + 1, n)]
-            cands.append(OrientedGraph.from_arcs(n, arcs))
-    elif kind == "adpath" and spec.params[0] == 4:
-        attempt("prop26")
-    elif kind == "p3plusarc":
-        attempt("prop27")
-    elif kind == "thm32":
-        attempt("thm32")
-    res = _compressed(spec.graph)
-    if res is not None:
-        # the turan construction against F, on the largest order F cannot map into
-        order = _transitive(n) if res.is_infinite else res.witness.induced(
-            range(min(res.value - 1, n)))
-        cands.append(_blow_up(order, n))
-    return cands
-
-
-@functools.lru_cache(maxsize=1)
-def _compressed(f: OrientedGraph) -> Optional[CompressibilityResult]:
-    """compressibility(f), or None past the tournament cap.  The last
-    pattern's result is kept, so a range of orders computes it once."""
-    try:
-        return compressibility(f)
-    except TooLargeError:
-        return None
-
-
-def _construction_seed(spec: PatternSpec, n: int) -> Optional[OrientedGraph]:
-    """Best verified pattern-free construction on n vertices, if any applies."""
-    best: Optional[OrientedGraph] = None
-    for g in _seed_candidates(spec, n):
-        if not is_free(g, spec.graph):
-            continue
-        if best is None or g.arc_count > best.arc_count:
-            best = g
-    return best
 
 
 class ExtremalRecord(NamedTuple):
@@ -381,13 +316,11 @@ def oracle_exo(
 
     Exhaustive up to n = 7; n = 8..10 needs an explicit node budget (the run
     is exact if it finishes, else BudgetExceededError carries the certified
-    lower bound).  Without a budget the orders 1..n are solved in turn, each
-    seeded by the better of the densest verified construction and the order
-    below's witness grown by one vertex; with one, the construction alone
-    seeds order n.  The witness is the smallest canonical code among all
-    maximum graphs, so it depends on (n, F) alone.  nodes counts the
-    extensions order n's search charges to the budget.  jobs is accepted and
-    ignored.
+    lower bound).  The orders 1..n are taken in turn, each seeded by the
+    order below's witness grown by one vertex; orders 8..n - 1 are grown and
+    not searched.  The witness is the smallest canonical code among all maximum
+    graphs, so it depends on (n, F) alone.  nodes counts the extensions
+    order n's search charges to the budget.  jobs is accepted and ignored.
     """
     spec = pattern if isinstance(pattern, PatternSpec) else PatternSpec.custom(pattern)
     return _records(spec, [n], budget)[0]
@@ -395,43 +328,46 @@ def oracle_exo(
 
 def _records(spec: PatternSpec, ns: Iterable[int], budget: Optional[int]) -> list[ExtremalRecord]:
     """oracle_exo(n, spec, budget) for each n of ns, from one set of deletion
-    plans.  Without a budget, the orders 1..max(ns) are solved once each, in
-    increasing order, each seeded by the one before.  One dict of _parent
-    entries, keyed by out-masks, lasts the call, so a parent class that
-    several orders meet has its cuts and copy test computed once."""
+    plans.  The orders 1..max(ns) are taken once each, in increasing order,
+    each seeded by the order below's witness grown by one vertex.  An order
+    is searched when it is requested or at most MAX_EXACT_VERTICES, and only
+    a requested one is charged to the budget; the others (8..max(ns) - 1 on a
+    budgeted call) are only grown.  One dict of _parent entries, keyed by
+    out-masks, lasts the call, so a parent class that several orders meet has
+    its cuts and copy test computed once."""
     f = spec.graph
     if f.arc_count == 0:
         raise EmptyPatternError("oracle needs a pattern with at least one arc")
     ns = list(ns)
     for n in ns:
         check_order(n, budget)
+    top = max(ns, default=0)
     # a pattern larger than every order fits in none, and its plans would
     # need codes past MAX_CODE_VERTICES
-    deletions = _deletions(f) if f.n <= max(ns, default=0) else []
+    deletions = _deletions(f) if f.n <= top else []
     parents: dict = {}
-    if budget is not None:
-        return [_record(spec, n, budget, deletions, None, parents) for n in ns]
-    records: list[ExtremalRecord] = []
-    for n in range(1, max(ns, default=0) + 1):
-        below = records[-1].witness if records else None
-        records.append(_record(spec, n, None, deletions, below, parents))
-    return [records[n - 1] for n in ns]
+    records: dict[int, ExtremalRecord] = {}
+    below: Optional[OrientedGraph] = None
+    for n in range(1, top + 1):
+        seed = None if below is None else _grown(below, deletions, parents)
+        if n in ns or n <= MAX_EXACT_VERTICES:
+            records[n] = _record(spec, n, budget if n in ns else None, deletions, seed, parents)
+            below = records[n].witness
+        else:
+            below = seed
+    return [records[n] for n in ns]
 
 
 def _record(spec: PatternSpec, n: int, budget: Optional[int], deletions: list[SearchPlan],
-            below: Optional[OrientedGraph], parents: dict) -> ExtremalRecord:
-    """oracle_exo at one checked order; below, if given, is exo(n - 1)'s
-    witness, grown by one vertex into a second seed."""
+            seed: Optional[OrientedGraph], parents: dict) -> ExtremalRecord:
+    """oracle_exo at one checked order, starting from the F-free graph seed
+    on n vertices, if any, as its best."""
     f = spec.graph
     if f.n > n:
         # the pattern cannot fit, so the complete transitive order is free
         witness = _transitive(n)
         return ExtremalRecord(n, spec, witness.arc_count, witness)
 
-    seed = _construction_seed(spec, n)
-    grown = None if below is None else _grown(below, deletions, parents)
-    if grown is not None and (seed is None or grown.arc_count > seed.arc_count):
-        seed = grown
     best = seed.arc_count if seed is not None else -1
     best_digits = None if seed is None else _min_digits(seed.out, n)
     best, best_digits, nodes, exceeded = _run_levels(
@@ -445,10 +381,11 @@ def _record(spec: PatternSpec, n: int, budget: Optional[int], deletions: list[Se
         # level n; the empty graph still certifies a lower bound of 0
         witness = OrientedGraph.empty(n)
         best = 0
-    if exceeded:
-        raise BudgetExceededError(best, witness, nodes)
+    # a certified lower bound is verified as an exact value is
     if not is_free(witness, f) or witness.arc_count != best:
         raise InvariantError("internal error: witness failed verification")
+    if exceeded:
+        raise BudgetExceededError(best, witness, nodes)
     return ExtremalRecord(n, spec, best, witness, nodes=nodes)
 
 

@@ -203,9 +203,6 @@ class OrientedGraph:
     def in_degree(self, u: int) -> int:
         return self.in_masks[u].bit_count()
 
-    def reverse(self) -> "OrientedGraph":
-        return OrientedGraph(self.n, self.in_masks)
-
     def induced(self, vertices: Sequence[int]) -> "OrientedGraph":
         """Induced subgraph; vertices are relabelled 0..k-1 in the given order."""
         index = {v: i for i, v in enumerate(vertices)}

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import os
 import random
 import tracemalloc
@@ -254,7 +255,9 @@ def test_oracle_matches_brute_force_on_random_patterns(k, digits):
 
 def test_oracle_frozen_values():
     # (pattern, n, value, nodes, witness): nodes pins the work as well as the
-    # answer, and the witness's canonical code the smallest among all maxima
+    # answer, and the witness's canonical code the smallest among all maxima.
+    # Every order is seeded by the order below, grown by a vertex; nodes
+    # count this order's search alone.
     frozen = [
         ("dpath3", 5, 6, 26, "5:0011011110"),
         ("dpath3", 6, 9, 34, "6:001110111111000"),
@@ -263,20 +266,18 @@ def test_oracle_frozen_values():
         ("adpath4", 6, 9, 382, "6:000120012012121"),
         ("star:1,2", 6, 12, 297, "6:001110111111121"),
         ("prop23", 6, 9, 214, "6:000220022022221"),
-        ("p3plusarc", 6, 9, 1327, "6:000110022022221"),
+        ("p3plusarc", 6, 9, 1355, "6:000110022022221"),
         ("thm32", 6, 12, 627, "6:001110111111121"),
         ("dpath4", 7, 16, 172, "7:001111011111111011110"),
         ("ttour3", 7, 16, 110, "7:001122011221122011110"),
         ("star:1,2", 7, 16, 573, "7:001111011111111001121"),
         ("matching2", 7, 6, 188, "7:000001000010001001011"),
-        ("prop23", 7, 12, 234, "7:000111001110111111000"),
+        ("prop23", 7, 12, 365, "7:000111001110111111000"),
         ("adpath4", 7, 11, 942, "7:000012000120012012121"),
         ("p3plusarc", 7, 11, 2085, "7:000011000220022022221"),
         ("thm32", 7, 16, 1499, "7:001111011111111002121"),
         ("star:0,2", 7, 7, 794, "7:000001000010001001121"),
         ("oc4", 7, 16, 938, "7:001111011111111011110"),
-        # no construction, or one with no arc: the order below, grown by a
-        # vertex, is the better seed; nodes count this order's search alone
         ("star:0,3", 4, 6, 22, "4:112111"),
         ("adpath3", 7, 7, 794, "7:000002000020002002121"),
         ("ttour4", 6, 15, 326, "6:111221211112211"),
@@ -332,7 +333,7 @@ def test_three_arc_table_up_to_six(oriented_graphs_6):
     hosts = {n: sorted(enumerate_oriented_graphs(n), key=lambda g: -g.arc_count)
              for n in range(2, 6)}
     for code, f in patterns.items():
-        assert exo[canonical_code(f.reverse()).serialize()] == exo[code]
+        assert exo[canonical_code(OrientedGraph(f.n, f.in_masks)).serialize()] == exo[code]
         value = dict(zip(range(2, 7), exo[code]))
         for n in range(3, 7):
             # an isolated vertex keeps a graph F-free; averaging over the n
@@ -353,7 +354,8 @@ def test_three_arc_table_at_seven():
         assert row[4] <= row[5] <= 7 * row[4] // 5, code
         assert rec.witness.arc_count == rec.value, code
         assert not _naive_contains(rec.witness, f), code
-        assert THREE_ARC_EXO[canonical_code(f.reverse()).serialize()][5] == row[5], code
+        reverse = canonical_code(OrientedGraph(f.n, f.in_masks)).serialize()
+        assert THREE_ARC_EXO[reverse][5] == row[5], code
 
 
 def test_witness_is_the_smallest_code_among_all_maxima(oriented_graphs_6):
@@ -438,8 +440,8 @@ def test_three_arc_tokens_match_the_table():
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_oracle_ttour4_is_every_pair_below_eight(n):
     # Erdos-Moser: every 8-tournament contains TT4 and QR7 does not, so
-    # exo(n, TT4) = C(n, 2) for n <= 7.  ttour4 has no construction seed, so
-    # each order starts from the order below grown by one vertex.
+    # exo(n, TT4) = C(n, 2) for n <= 7.  Each order starts from the order
+    # below grown by one vertex.
     rec = oracle_exo(n, PatternSpec.parse("ttour4"))
     assert rec.value == n * (n - 1) // 2
     w = rec.witness
@@ -574,7 +576,8 @@ def _reference_levels(n, deletions, frontier, k0, best, best_digits, budget, sto
 def test_run_levels_matches_the_per_extension_loop(token, n, monkeypatch):
     spec = PatternSpec.parse(token)
     deletions = extremal._deletions(spec.graph)
-    seed = extremal._construction_seed(spec, n)
+    # the seed an oracle call gives order n: the order below's witness, grown
+    seed = extremal._grown(oracle_exo(n - 1, spec).witness, deletions, {})
     best = -1 if seed is None else seed.arc_count
     digits = None if seed is None else _min_digits(seed.out, n)
     start = (n, deletions, [((0,), 0)], 1, best, digits)
@@ -777,17 +780,6 @@ def test_oracle_jobs_start_no_process(monkeypatch):
     assert (got.value, got.witness, got.nodes) == (serial.value, serial.witness, serial.nodes)
 
 
-@pytest.mark.parametrize("p, q", [(2, 0), (3, 0), (2, 1)])
-def test_star_seed_is_the_mirror_of_its_reverse(p, q):
-    # reversing every arc of star:q,p gives star:p,q, so its seed is reversed
-    spec, mirror = PatternSpec.parse(f"star:{p},{q}"), PatternSpec.parse(f"star:{q},{p}")
-    for n in range(3, 7):
-        seed = extremal._construction_seed(spec, n)
-        assert seed == extremal._construction_seed(mirror, n).reverse(), (p, q, n)
-        assert is_free(seed, spec.graph)
-        assert oracle_exo(n, spec).value == oracle_exo(n, mirror).value, (p, q, n)
-
-
 def test_oracle_validates_inputs():
     spec = PatternSpec.parse("dpath3")
     with pytest.raises(BadParamsError):
@@ -811,9 +803,46 @@ def test_oracle_budget_exhaustion_certifies_lower_bound():
     spec = PatternSpec.parse("dpath4")
     with pytest.raises(BudgetExceededError) as exc:
         oracle_exo(8, spec, budget=50)
-    assert exc.value.lower_bound >= 21  # construction seed is certified
+    assert exc.value.lower_bound >= 21  # exo(7)'s witness, grown, is certified
     assert is_free(exc.value.witness, spec.graph)
     assert exc.value.witness.arc_count == exc.value.lower_bound
+
+
+@pytest.mark.parametrize("n, budget", [(8, 1000), (9, 2000)])
+def test_a_budgeted_order_starts_from_the_order_below(n, budget, capsys):
+    # Erdos-Moser: every 8-tournament contains TT4, so exo(n, TT4) >= the
+    # Turan number of 7 parts, reached by QR7 grown vertex by vertex; from
+    # that seed a small budget proves it exact
+    spec = PatternSpec.parse("ttour4")
+    rec = oracle_exo(n, spec, budget=budget)
+    assert rec.value == turan_edges(n, 7) and rec.nodes <= budget
+    assert not _naive_contains(rec.witness, spec.graph)
+    argv = ["exo", "--pattern", "ttour4", "--n", str(n), "--budget", str(budget), "--json"]
+    assert main(argv) == 0
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["n"], row["value"], row["nodes"]) == (n, rec.value, rec.nodes)
+
+
+# exo(8, F) for the three-arc classes of THREE_ARC_EXO other than the two
+# 3-stars, also found by an integer program over every arc set on 8 vertices
+THREE_ARC_EXO_8 = {
+    "2:1": 0, "3:011": 8, "3:012": 16, "3:022": 8, "3:111": 21, "3:121": 28,
+    "4:001012": 20, "4:001022": 20, "4:001100": 7, "4:001101": 16, "4:001110": 13,
+    "4:001120": 21, "4:002110": 16,
+    "5:0001001100": 13, "5:0001002100": 16, "5:0001020200": 13,
+    "6:000010010100000": 13,
+}
+
+
+def test_three_arc_table_at_eight():
+    # n = 8 needs a budget; each order 1..7 below it is solved exactly on the way
+    assert sorted(THREE_ARC_EXO_8) == sorted(set(THREE_ARC_EXO) - {"4:001011", "4:002022"})
+    for code, value in THREE_ARC_EXO_8.items():
+        f = CanonicalCode.parse(code).to_graph()
+        rec = oracle_exo(8, PatternSpec.custom(f), budget=10**6)
+        assert rec.value == value >= THREE_ARC_EXO[code][5], code
+        assert rec.witness.arc_count == value, code
+        assert not _naive_contains(rec.witness, f), code
 
 
 # --- constructions ---------------------------------------------------------------
