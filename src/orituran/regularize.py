@@ -5,7 +5,9 @@ into a dense host.
 All randomness flows through random.Random(seed); every scan is index-ordered,
 so a fixed seed reproduces the run bit for bit.  The rich-set and embedding
 checks read the host's U rows (out-masks over W indices) and never transpose
-them into columns, so they have no vertex cap.
+them into columns, so they have no vertex cap.  A zoom copies no part of its
+host: its sample is a W column mask plus one flag byte per U row, and the
+rich-set and embedding steps read the flagged rows of the host in place.
 """
 
 from __future__ import annotations
@@ -279,7 +281,19 @@ class RichSetCertificate(NamedTuple):
     h: int
 
 
-def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertificate]:
+def _kept(rows, keep):
+    """The rows whose keep flag is nonzero, or all of them when keep is None;
+    rows past the end of keep are dropped."""
+    return rows if keep is None else itertools.compress(rows, keep)
+
+
+def find_rich_set(
+    g: BipartiteDigraph,
+    r: int,
+    h: int,
+    keep: Optional[bytes] = None,
+    w_mask: int = -1,
+) -> Optional[RichSetCertificate]:
     """Greedy partial coloring over U; the first vertex it cannot color yields
     the certificate.
 
@@ -290,14 +304,17 @@ def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertif
     color (possible at the exact saturation threshold) or when the stuck
     vertex has fewer than h out-neighbors.  The certificate is checked with
     verify_certificate before it is returned, when C(h, r) is at most 10^6.
+
+    keep (one flag byte per U row) and w_mask (a bitset over W indices) select
+    a sub-instance in place: the answer is the one on g.restrict of the kept
+    rows and sampled columns, since restriction keeps both orders.
     """
     if r < 1 or h < 1:
         raise BadParamsError("find_rich_set needs r >= 1 and h >= 1")
     counts: dict[tuple[int, ...], int] = {}
-    for i in range(len(g.part_u)):
-        mask = g.out_masks[i]
+    for mask in _kept(g.out_masks, keep):
         neigh = []
-        m = mask
+        m = mask & w_mask
         while m:
             j = (m & -m).bit_length() - 1
             neigh.append(j)
@@ -314,15 +331,18 @@ def find_rich_set(g: BipartiteDigraph, r: int, h: int) -> Optional[RichSetCertif
         if len(neigh) < h:
             return None
         cert = RichSetCertificate(subset=tuple(g.part_w[j] for j in neigh[:h]), r=r, h=h)
-        if math.comb(h, r) <= VERIFY_SUBSET_CAP and not verify_certificate(g, cert):
+        if math.comb(h, r) <= VERIFY_SUBSET_CAP and not verify_certificate(g, cert, keep):
             raise InvariantError("rich-set certificate failed verification; coloring bug")
         return cert
     return None
 
 
-def verify_certificate(g: BipartiteDigraph, cert: RichSetCertificate) -> bool:
+def verify_certificate(
+    g: BipartiteDigraph, cert: RichSetCertificate, keep: Optional[bytes] = None
+) -> bool:
     """Independent brute-force check of the richness property: the columns
-    of each r-subset must be covered by at least h host rows.
+    of each r-subset must be covered by at least h host rows (only the rows
+    flagged in keep, when it is given).
 
     Raises TooLargeError when the subset has more than VERIFY_SUBSET_CAP
     r-subsets to check.
@@ -337,7 +357,7 @@ def verify_certificate(g: BipartiteDigraph, cert: RichSetCertificate) -> bool:
         need = 0
         for w in combo:
             need |= 1 << w_pos[w]
-        if sum(row & need == need for row in g.out_masks) < cert.h:
+        if sum(row & need == need for row in _kept(g.out_masks, keep)) < cert.h:
             return False
     return True
 
@@ -346,10 +366,12 @@ def embed_via_rich_set(
     g: BipartiteDigraph,
     pattern: BipartiteDigraph,
     cert: RichSetCertificate,
+    keep: Optional[bytes] = None,
 ) -> VertexMap:
     """Embed the pattern: its W side goes injectively onto the rich set in
     index order, then each pattern U vertex takes the first unused host row,
-    in index order, that covers its images' columns.
+    in index order, that covers its images' columns (only rows flagged in
+    keep, when it is given).  The map's target is the host g itself.
     """
     if cert.h != pattern.n:
         raise BadParamsError(
@@ -370,7 +392,8 @@ def embed_via_rich_set(
         for j, b in enumerate(pattern.part_w):
             if m >> j & 1:
                 need |= 1 << w_pos[mapping[b]]
-        rows = (k for k, row in enumerate(g.out_masks) if row & need == need and k not in used)
+        rows = (k for k, row in _kept(enumerate(g.out_masks), keep)
+                if row & need == need and k not in used)
         chosen = next(rows, None)
         if chosen is None:
             raise CertificateInsufficient(
@@ -378,8 +401,8 @@ def embed_via_rich_set(
             )
         used.add(chosen)
         mapping[a] = g.part_u[chosen]
-    src_n = max(list(pattern.part_u) + list(pattern.part_w)) + 1
-    tgt_n = max(list(g.part_u) + list(g.part_w)) + 1
+    src_n = max(itertools.chain(pattern.part_u, pattern.part_w)) + 1
+    tgt_n = max(itertools.chain(g.part_u, g.part_w)) + 1
     return VertexMap.of(src_n, tgt_n, mapping)
 
 
@@ -442,8 +465,8 @@ def random_zoom(
     """Sample a p-random subset W' of the W side, keep U vertices with at
     least p*d/2 sampled out-neighbors, and accept the trial when
     |W'| <= 2p|W| and |U'| >= |U|/4; an accepted trial is embedded through a
-    rich set.  Vertex ids survive restriction, so the embedding already refers
-    to the original host.
+    rich set.  The sample is read from g in place, so the embedding and its
+    target_n refer to g itself.
     """
     vm, _ = _random_zoom_stats(g, pattern, cfg)
     return vm
@@ -480,44 +503,40 @@ def _random_zoom_stats(
         raise InfeasibleConfig(
             f"p*d/2 = {threshold} below the threshold {max(20, cfg.h)}"
         )
-    if nu > cap:
-        host = BipartiteDigraph(g.part_u[:cap], g.part_w, g.out_masks[:cap])
-    else:
-        host = g
-    hu = len(host.part_u)
-    if host.min_out_degree() < cfg.d:
+    # rows past the cap get no keep flag, so every scan below stops at hu
+    hu = min(nu, cap)
+    d_min = min(m.bit_count() for m in itertools.islice(g.out_masks, hu))
+    if d_min < cfg.d:
         raise InfeasibleConfig(
-            f"host min out-degree {host.min_out_degree()} below config d = {cfg.d}"
+            f"host min out-degree {d_min} below config d = {cfg.d}"
         )
     rng = random.Random(cfg.seed)
     for trial in range(ZOOM_RETRIES):
         w_mask = 0
-        w_ids = []
-        for j, w in enumerate(host.part_w):
+        for j in range(nw):
             if rng.random() < p:
                 w_mask |= 1 << j
-                w_ids.append(w)
-        if len(w_ids) > 2.0 * p * nw:
+        w_sampled = w_mask.bit_count()
+        if w_sampled > 2.0 * p * nw:
             continue
-        u_ids = [
-            u
-            for i, u in enumerate(host.part_u)
-            if (host.out_masks[i] & w_mask).bit_count() >= threshold
-        ]
-        if 4 * len(u_ids) < hu:
+        keep = bytes(
+            (m & w_mask).bit_count() >= threshold
+            for m in itertools.islice(g.out_masks, hu)
+        )
+        u_kept = keep.count(1)
+        if 4 * u_kept < hu:
             continue
-        zoomed = host.restrict(u_ids, w_ids)
-        cert = find_rich_set(zoomed, cfg.r, cfg.h)
+        cert = find_rich_set(g, cfg.r, cfg.h, keep, w_mask)
         if cert is None:
             continue
-        vm = embed_via_rich_set(zoomed, pattern, cert)
+        vm = embed_via_rich_set(g, pattern, cert, keep)
         if not verify_bipartite_embedding(g, pattern, vm):
             raise InvariantError("zoom produced an embedding that failed verification")
         stats = {
             "p": p,
             "retries": trial + 1,
-            "w_sampled": len(w_ids),
-            "u_kept": len(u_ids),
+            "w_sampled": w_sampled,
+            "u_kept": u_kept,
         }
         return vm, stats
     raise RetriesExhausted(

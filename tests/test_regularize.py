@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -15,8 +16,10 @@ from orituran.extremal import BadParamsError
 from orituran.homomorphism import VertexMap
 from orituran.regularize import (
     VERIFY_SUBSET_CAP,
+    ZOOM_RETRIES,
     CertificateInsufficient,
     InfeasibleConfig,
+    RetriesExhausted,
     RichSetCertificate,
     TooSmall,
     ZoomConfig,
@@ -178,6 +181,68 @@ def _random_pattern(rng, h, r):
         rows.append(sum(1 << j for j in cols))
     ids = rng.sample(range(3 * h), h)
     return BipartiteDigraph(tuple(ids[:nu]), tuple(ids[nu:]), tuple(rows))
+
+
+def _restricted(g, keep, w_mask):
+    """The copy of g on the rows flagged in keep and the columns in w_mask."""
+    return g.restrict([u for u, f in zip(g.part_u, keep) if f],
+                      [w for j, w in enumerate(g.part_w) if w_mask >> j & 1])
+
+
+def _reference_zoom(g, pattern, cfg):
+    """The zoom through copies: truncate U at the cap, then restrict the host
+    to each accepted sample and run the rich-set steps on the copy.  Returns
+    the mapping and the stats."""
+    if cfg.r < 1 or cfg.h < 1:
+        raise BadParamsError("r, h")
+    if cfg.h != pattern.n or any(m.bit_count() > cfg.r for m in pattern.out_masks):
+        raise InfeasibleConfig("pattern")
+    nu, nw = len(g.part_u), len(g.part_w)
+    if nu == 0 or nw == 0:
+        raise InfeasibleConfig("empty part")
+    cap = 4 * cfg.h * (2 * nw) ** cfg.r
+    p = 1.0 if nu >= cap else min((nu / (4.0 * cfg.h)) ** (1.0 / cfg.r) / (2 * nw), 1.0)
+    threshold = p * cfg.d / 2.0
+    if cfg.d < max(40, 2 * cfg.h) or threshold < max(20, cfg.h):
+        raise InfeasibleConfig("thresholds")
+    host = BipartiteDigraph(g.part_u[:cap], g.part_w, g.out_masks[:cap])
+    if host.min_out_degree() < cfg.d:
+        raise InfeasibleConfig("d")
+    rng = random.Random(cfg.seed)
+    for trial in range(ZOOM_RETRIES):
+        w_mask = sum(1 << j for j in range(nw) if rng.random() < p)
+        w_ids = [w for j, w in enumerate(host.part_w) if w_mask >> j & 1]
+        if len(w_ids) > 2.0 * p * nw:
+            continue
+        u_ids = [u for u, m in zip(host.part_u, host.out_masks)
+                 if (m & w_mask).bit_count() >= threshold]
+        if 4 * len(u_ids) < len(host.part_u):
+            continue
+        zoomed = host.restrict(u_ids, w_ids)
+        cert = find_rich_set(zoomed, cfg.r, cfg.h)
+        if cert is None:
+            continue
+        vm = embed_via_rich_set(zoomed, pattern, cert)
+        stats = {"p": p, "retries": trial + 1, "w_sampled": len(w_ids), "u_kept": len(u_ids)}
+        return vm.mapping, stats
+    raise RetriesExhausted("trials")
+
+
+def _embed_pairs(*args):
+    return embed_via_rich_set(*args).mapping
+
+
+def _zoom_pairs(*args):
+    vm, stats = _random_zoom_stats(*args)
+    return vm.mapping, stats
+
+
+def _regular_bipartite(seed, nu, nw, d, u_first=True):
+    """Every row has exactly d out-neighbours; U ids come before or after W ids."""
+    rng = random.Random(seed)
+    rows = tuple(sum(1 << j for j in rng.sample(range(nw), d)) for _ in range(nu))
+    u_ids, w_ids = (range(nu), range(nu, nu + nw)) if u_first else (range(nw, nw + nu), range(nw))
+    return BipartiteDigraph(tuple(u_ids), tuple(w_ids), rows)
 
 
 # --- extraction ------------------------------------------------------------------
@@ -415,6 +480,35 @@ def test_verify_certificate_raises_key_error_for_foreign_ids():
         verify_certificate(host, RichSetCertificate(subset=(3, 99), r=2, h=1))
 
 
+def test_rich_set_steps_on_kept_rows_match_restricted_copies():
+    # each step with keep flags and a column mask answers as on the copy
+    # g.restrict(...); maps are compared by their pairs, since the copy's
+    # target_n names the copy
+    rng = random.Random(29)
+    covered = 0
+    for _ in range(400):
+        nu, nw = rng.randint(1, 150), rng.randint(1, 10)
+        host = _mixed_bipartite(rng, nu, nw)
+        keep = bytes(rng.random() < 0.7 for _ in range(nu))
+        w_mask = rng.getrandbits(nw)
+        sub = _restricted(host, keep, w_mask)
+        r, h = rng.randint(1, 3), rng.randint(1, 4)
+        got = _outcome(find_rich_set, host, r, h, keep, w_mask)
+        assert got == _outcome(find_rich_set, sub, r, h)
+        certs = [got[1]] if got[1] is not None else []
+        if sub.part_w:
+            certs.append(RichSetCertificate(
+                tuple(rng.sample(sub.part_w, min(h, len(sub.part_w)))), r, h))
+        pattern = _random_pattern(rng, h, r)
+        for cert in certs:
+            assert _outcome(verify_certificate, host, cert, keep) == _outcome(
+                verify_certificate, sub, cert)
+            got = _outcome(_embed_pairs, host, pattern, cert, keep)
+            assert got == _outcome(_embed_pairs, sub, pattern, cert)
+            covered += got[0] == "value"
+    assert covered >= 100
+
+
 # --- embedding through a certificate -----------------------------------------------
 
 
@@ -628,6 +722,63 @@ def test_zoom_bytes_are_pinned():
             _, stats = _random_zoom_stats(host, ARC, cfg)
             runs.append([mapping, stats["retries"], stats["w_sampled"], stats["u_kept"]])
     assert _sha(runs) == ZOOM_SHA
+
+
+def test_zoom_matches_restrict_reference():
+    # seeded hosts with r = 1 and r = 2, samples that drop columns and rows,
+    # hosts past the truncation cap and configs that fail; each compared
+    # with the zoom that restricted a copy of the host to every sample
+    rng = random.Random(31)
+    dense2 = BipartiteDigraph(tuple(range(60000)), tuple(range(60000, 60046)), tuple(
+        ((1 << 46) - 1) ^ sum(1 << j for j in rng.sample(range(46), rng.randint(0, 3)))
+        for _ in range(60000)))
+    cases = [
+        (_complete_bipartite(648, 45), 1, range(4)),
+        (_random_bipartite(2024, 2000, 200), 1, range(4)),
+        (_regular_bipartite(5, 1600, 1000, 400), 1, range(12)),
+        (_regular_bipartite(6, 900, 44, 40, u_first=False), 1, range(2)),  # nu > cap
+        (_regular_bipartite(7, 700, 60, 45), 1, range(2)),  # p*d/2 below 20
+        (dense2, 2, range(1)),
+        (_complete_bipartite(52000, 40), 2, range(1)),  # nu > cap
+    ]
+    dropped_rows = dropped_cols = 0
+    for host, r, seeds in cases:
+        for seed in seeds:
+            cfg = ZoomConfig.for_instance(host, r=r, h=2, seed=seed)
+            got = _outcome(_zoom_pairs, host, ARC, cfg)
+            assert got == _outcome(_reference_zoom, host, ARC, cfg), (len(host.part_u), seed)
+            if got[0] == "value":
+                nu, nw = len(host.part_u), len(host.part_w)
+                stats = got[1][1]
+                dropped_rows += stats["u_kept"] < min(nu, 4 * 2 * (2 * nw) ** r)
+                dropped_cols += stats["w_sampled"] < nw
+    assert dropped_rows >= 1 and dropped_cols >= 10
+
+
+def test_zoom_target_n_names_the_host():
+    # the map's target is the host it was given, not the sample or the
+    # truncated prefix, even when those drop the host's largest id
+    for host in (_random_bipartite(2024, 2000, 200),
+                 _regular_bipartite(6, 900, 44, 40, u_first=False)):
+        top = max(host.part_u + host.part_w)
+        for seed in range(3):
+            cfg = ZoomConfig.for_instance(host, r=1, h=2, seed=seed)
+            assert random_zoom(host, ARC, cfg).target_n == top + 1
+
+
+def test_zoom_copies_no_part_of_the_host():
+    # the 51,200 x 40 host at the r = 2 cap keeps every row: a restricted copy
+    # of it traces at about 8 MB, the keep flags at 51 KB
+    host = _complete_bipartite(4 * 2 * 80 ** 2, 40)
+    cfg = ZoomConfig.for_instance(host, r=2, h=2, seed=5)
+    tracemalloc.start()
+    try:
+        vm = random_zoom(host, ARC, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verify_bipartite_embedding(host, ARC, vm)
+    assert peak < 1 << 20, peak
 
 
 # --- pipeline ----------------------------------------------------------------------
